@@ -19,7 +19,7 @@ from .relay import (
     rate_to_snr_threshold,
 )
 from .specfun import QuadratureRule, gauss_hermite, hyp2f1, std_normal_cdf
-from .vlc_link import VlcDerived, VlcLinkParams
+from .vlc_link import VlcLinkParams
 from .config import DEFAULTS, load_config
 from .sweeps import FIGURE_PRESETS, RunReport, SweepSpec, run_sweep, run_validation
 
@@ -48,7 +48,6 @@ __all__ = [
     "gauss_hermite",
     "hyp2f1",
     "std_normal_cdf",
-    "VlcDerived",
     "VlcLinkParams",
     "DEFAULTS",
     "load_config",

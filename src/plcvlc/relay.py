@@ -104,16 +104,15 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
         keep_vlc = 1.0 - vlc_link.outage(s.vlc, threshold)
         return keep_plc * keep_vlc
 
-    breakpoints = None
+    # The VLC survival leaves 1 at the cell-edge capacity, a kink in the
+    # integrand.
+    kinks = [math.log2(1.0 + rho * t_min)]
     if s.plc.fading_sigma_db == 0.0:
         # Deterministic first hop: the integrand steps to zero at its capacity.
-        c_plc = math.log2(
+        kinks.append(math.log2(
             1.0 + plc_link.snr_scale(s.plc) * 10.0 ** (s.plc.fading_mu_db / 5.0)
-        )
-        if c_plc >= c_vlc_max:
-            breakpoints = None
-        else:
-            breakpoints = [c_plc]
+        ))
+    breakpoints = sorted(k for k in kinks if 0.0 < k < c_vlc_max) or None
     result = integrate.quad(
         survival_product, 0.0, c_vlc_max,
         points=breakpoints, epsabs=1e-12, epsrel=1e-9, limit=200, full_output=1,

@@ -1,5 +1,9 @@
 """Special-function kernel: Gauss-Hermite rules, normal CDF, Gauss hypergeometric.
 
+The numerics come from NumPy (``numpy.polynomial.hermite.hermgauss``) and
+SciPy (``scipy.special.hyp2f1``); this module adds argument checking, a cached
+read-only rule per order, and errors that name the offending arguments.
+
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
 """
@@ -11,14 +15,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
+from scipy import special
 
 from .errors import NumericDomainError, ParameterError
 
 __all__ = ["MAX_QUADRATURE_ORDER", "QuadratureRule", "gauss_hermite", "std_normal_cdf", "hyp2f1"]
 
 MAX_QUADRATURE_ORDER = 200
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -38,54 +42,9 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _orthonormal_hermite(order: int, z: float) -> tuple[float, float]:
-    """Evaluate the orthonormal Hermite polynomials (h_order, h_{order-1}) at z.
-
-    The orthonormal recurrence keeps values of order O(1) on the node range,
-    which is what makes Newton refinement stable up to order 200.
-    """
-    prev = 0.0
-    cur = math.pi ** -0.25
-    for j in range(1, order + 1):
-        cur, prev = z * math.sqrt(2.0 / j) * cur - math.sqrt((j - 1.0) / j) * prev, cur
-    return cur, prev
-
-
-def _hermite_weight(order: int, z: float) -> float:
-    _, below = _orthonormal_hermite(order, z)
-    slope = math.sqrt(2.0 * order) * below
-    return 2.0 / (slope * slope)
-
-
 @lru_cache(maxsize=None)
 def _gauss_hermite_arrays(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # Eigenvalues of the Jacobi matrix seed the roots to ~1e-13; Newton on the
-    # recurrence then polishes them to machine precision, and the recurrence
-    # derivative gives the weights.  Symmetry is enforced by refining only the
-    # positive half and mirroring.
-    off_diag = np.sqrt(np.arange(1, order) / 2.0)
-    seeds = np.linalg.eigvalsh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
-    half = order // 2
-    pos = np.empty(half)
-    wts = np.empty(half)
-    for i, z in enumerate(seeds[order - half:]):
-        for _ in range(50):
-            value, below = _orthonormal_hermite(order, z)
-            step = value / (math.sqrt(2.0 * order) * below)
-            z -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(z)):
-                break
-        else:
-            raise NumericDomainError(f"Hermite root refinement failed for order {order}")
-        pos[i] = z
-        wts[i] = _hermite_weight(order, z)
-
-    if order % 2 == 1:
-        nodes = np.concatenate([-pos[::-1], [0.0], pos])
-        weights = np.concatenate([wts[::-1], [_hermite_weight(order, 0.0)], wts])
-    else:
-        nodes = np.concatenate([-pos[::-1], pos])
-        weights = np.concatenate([wts[::-1], wts])
+    nodes, weights = hermgauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -94,9 +53,10 @@ def _gauss_hermite_arrays(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_hermite(order: int) -> QuadratureRule:
     """Nodes and weights of the physicists' Hermite polynomial of the given order.
 
-    Roots are refined by Newton iteration on the recurrence-evaluated
-    polynomial, seeded with Jacobi-matrix eigenvalues; the rule is exact for
-    polynomials of degree <= 2*order - 1 against the exp(-x^2) weight.
+    Wraps ``numpy.polynomial.hermite.hermgauss``; the rule is exact for
+    polynomials of degree <= 2*order - 1 against the exp(-x^2) weight.  The
+    order must be an integer in [1, MAX_QUADRATURE_ORDER].  Rules are cached
+    per order and their arrays are read-only.
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ParameterError(f"quadrature order must be an integer, got {order!r}")
@@ -121,65 +81,13 @@ def std_normal_cdf(x: float) -> float:
 # Gauss hypergeometric function 2F1 for real arguments with z < 1
 # ---------------------------------------------------------------------------
 
-_SERIES_MAX_TERMS = 10_000
-_SERIES_TOL = 1e-16
-# Below this argument the Pfaff-mapped series would need more than the term
-# budget; switch to the 1/z connection formula instead.
-_PFAFF_Z_MIN = -200.0
-
-
-def _gauss_series(a: float, b: float, c: float, z: float) -> float:
-    total = 1.0
-    term = 1.0
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        if term == 0.0:
-            return total
-        total += term
-        if abs(term) <= _SERIES_TOL * abs(total):
-            return total
-    raise NumericDomainError(
-        f"hypergeometric series did not converge for a={a}, b={b}, c={c}, z={z}"
-    )
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x), returning 0 at the poles."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
-def _hyp2f1_inversion(a: float, b: float, c: float, z: float) -> float:
-    """Connection formula in 1/z for large negative arguments.
-
-    Valid only when a - b is not an integer (the degenerate case would need
-    logarithmic terms, which none of the callers here produce).
-    """
-    diff = a - b
-    if abs(diff - round(diff)) < 1e-9:
-        raise NumericDomainError(
-            f"2F1 inversion is degenerate for near-integer a-b: a={a}, b={b}, c={c}, z={z}"
-        )
-    gam_c = math.gamma(c)
-    inv = 1.0 / z
-    coef_a = gam_c * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-    coef_b = gam_c * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-    total = 0.0
-    if coef_a != 0.0:
-        total += coef_a * (-z) ** (-a) * _gauss_series(a, a - c + 1.0, a - b + 1.0, inv)
-    if coef_b != 0.0:
-        total += coef_b * (-z) ** (-b) * _gauss_series(b, b - c + 1.0, b - a + 1.0, inv)
-    return total
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
 
-    Arguments in [0, 1) are summed directly.  Negative arguments go through
-    the Pfaff transformation z -> z/(z-1), which maps them into (0, 1); very
-    large negative arguments (z < -200), where that mapped series would stall,
-    use the 1/z connection formula instead.
+    Wraps ``scipy.special.hyp2f1``.  The arguments must be finite, c must not
+    be a nonpositive integer, and z must be below 1 (ParameterError
+    otherwise); a non-finite library result raises NumericDomainError naming
+    all four arguments.
     """
     for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
         if not math.isfinite(value):
@@ -188,14 +96,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise ParameterError(f"hyp2f1 parameter c must not be a nonpositive integer, got {c}")
     if z >= 1.0:
         raise ParameterError(f"hyp2f1 argument z must satisfy z < 1, got {z}")
-    if a == 0.0 or b == 0.0 or z == 0.0:
-        return 1.0
-    if (a < 0.0 and a == math.floor(a)) or (b < 0.0 and b == math.floor(b)):
-        # Terminating polynomial; exact for any argument.
-        return _gauss_series(a, b, c, z)
-    if z > 0.0:
-        return _gauss_series(a, b, c, z)
-    if z >= _PFAFF_Z_MIN:
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, w)
-    return _hyp2f1_inversion(a, b, c, z)
+    value = float(special.hyp2f1(a, b, c, z))
+    if not math.isfinite(value):
+        raise NumericDomainError(
+            f"hyp2f1 evaluated to {value!r} for a={a}, b={b}, c={c}, z={z}"
+        )
+    return value

@@ -21,7 +21,6 @@ from .specfun import hyp2f1
 
 __all__ = [
     "VlcLinkParams",
-    "VlcDerived",
     "lambertian_order",
     "front_end_q",
     "channel_gain",
@@ -31,7 +30,6 @@ __all__ = [
     "avg_capacity_quad",
     "avg_capacity_closed",
     "outage",
-    "derive",
 ]
 
 
@@ -68,16 +66,6 @@ class VlcLinkParams:
                 raise ParameterError(f"VlcLinkParams.{name} must be strictly positive")
         if not 0.0 < self.semi_angle_rad < math.pi / 2.0:
             raise ParameterError("VlcLinkParams.semi_angle_rad must lie strictly in (0, pi/2)")
-
-
-@dataclass(frozen=True)
-class VlcDerived:
-    """Values computed once from VlcLinkParams and reused everywhere."""
-
-    lambertian_order: float
-    front_end_q: float
-    gain_sq_min: float
-    gain_sq_max: float
 
 
 def lambertian_order(semi_angle_rad: float) -> float:
@@ -224,13 +212,3 @@ def outage(p: VlcLinkParams, snr_threshold: float) -> float:
         return 0.0
     return gain_sq_cdf(snr_threshold * p.noise_variance / p.tx_power_w, p)
 
-
-def derive(p: VlcLinkParams) -> VlcDerived:
-    """Bundle the derived quantities for a parameter set."""
-    t_min, t_max = gain_sq_support(p)
-    return VlcDerived(
-        lambertian_order=lambertian_order(p.semi_angle_rad),
-        front_end_q=front_end_q(p),
-        gain_sq_min=t_min,
-        gain_sq_max=t_max,
-    )

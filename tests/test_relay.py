@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcvlc import montecarlo
+from plcvlc.sweeps import with_variable
 from plcvlc.errors import ParameterError
 from plcvlc.relay import (
     RelaySystemParams,
@@ -197,3 +199,58 @@ def test_numeric_mean_capacity_matches_sampling(default_system):
     cfg = montecarlo.McConfig(trials=1_000_000, seed=202)
     est = montecarlo.estimate("e2e_avg_capacity", default_system, cfg)
     assert abs(e2e_avg_capacity_numeric(default_system) - est.mean) <= 3.0 * est.std_error
+
+
+def _survival_product_reference(s):
+    """mpmath quadrature of P(C_plc > t) * P(C_vlc > t), split at the VLC support.
+
+    Built from the physical model (Gaussian-dB PLC fading, a uniformly placed
+    user under a Lambertian LED), not from the program's outage functions.
+    Needs a nonzero fading spread.
+    """
+    with mp.workdps(30):
+        plc, vlc = s.plc, s.vlc
+        alpha = mp.mpf(plc.atten_a0) + mp.mpf(plc.atten_a1) * mp.mpf(plc.frequency_hz) ** plc.atten_k
+        a = mp.mpf(plc.tx_power_w) * mp.exp(-2 * alpha * plc.distance_m) / plc.noise_variance
+        mu, sigma = mp.mpf(plc.fading_mu_db), mp.mpf(plc.fading_sigma_db)
+        m = -1 / mp.log(mp.cos(mp.mpf(vlc.semi_angle_rad)), 2)
+        q = (mp.mpf(vlc.detector_area) * vlc.filter_gain * vlc.concentrator_gain
+             * vlc.responsivity / (2 * mp.pi))
+        height, radius = mp.mpf(vlc.height_m), mp.mpf(vlc.cell_radius_m)
+        amplitude = q * (m + 1) * height ** (m + 1)
+        rho = mp.mpf(vlc.tx_power_w) / vlc.noise_variance
+
+        def survival_product(t):
+            snr = 2 ** t - 1
+            keep_plc = 1 - mp.ncdf((5 * mp.log10(snr / a) - mu) / sigma)
+            r_sq = (amplitude / mp.sqrt(snr / rho)) ** (2 / (m + 3)) - height * height
+            return keep_plc * min(max(r_sq / radius ** 2, 0), 1)
+
+        edge = mp.log(1 + rho * amplitude ** 2 * (radius ** 2 + height ** 2) ** (-(m + 3)), 2)
+        top = mp.log(1 + rho * amplitude ** 2 * height ** (-2 * (m + 3)), 2)
+        return float(s.duplex_factor * mp.quad(survival_product, [0, edge, top]))
+
+
+@pytest.mark.parametrize(
+    "height,radius,power,distance,semi_angle_deg,sigma_db",
+    [
+        # quad used to stop on roundoff in its extrapolation table here
+        (2.616, 4.402, 0.166, 128.0, 22.16, 3.86),
+        # and used to return a value 1.4e-7 off, above its own epsrel
+        (2.8168135527311846, 4.349333184129176, 0.4415603400051664,
+         46.836303644571146, 45.45592058378384, 5.769755010842858),
+    ],
+)
+def test_numeric_mean_capacity_matches_split_reference(
+    default_system, height, radius, power, distance, semi_angle_deg, sigma_db
+):
+    s = default_system
+    for name, value in (("led_height", height), ("cell_radius", radius),
+                        ("relay_power", power), ("plc_distance", distance)):
+        s = with_variable(s, name, value)
+    s = dataclasses.replace(
+        s,
+        plc=dataclasses.replace(s.plc, fading_sigma_db=sigma_db),
+        vlc=dataclasses.replace(s.vlc, semi_angle_rad=math.radians(semi_angle_deg)),
+    )
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(_survival_product_reference(s), rel=1e-9)

@@ -207,6 +207,7 @@ def test_matches_mpmath_over_negative_axis():
         (0.3, 0.7, 1.2, -30.0),
         (2.0, 0.5, 2.5, 0.5),
         (1.5, -0.6, 0.4, 0.9),
+        (1.5, 0.5, 2.2, -1e6),
     ],
 )
 def test_matches_mpmath_spot_values(a, b, c, z):
@@ -234,8 +235,9 @@ def test_rejects_argument_at_or_beyond_one(z):
         hyp2f1(1.0, 0.5, 1.5, z)
 
 
-def test_inversion_degenerate_raises_with_context():
+def test_nonfinite_value_raises_with_context():
+    # The true value is about 7.09e-306; the library overflows to inf there.
     with pytest.raises(NumericDomainError) as err:
-        hyp2f1(1.5, 0.5, 2.2, -1e6)
+        hyp2f1(1.0, 1.0, 2.0, -1e308)
     message = str(err.value)
-    assert "1.5" in message and "0.5" in message and "2.2" in message
+    assert "a=1.0" in message and "b=1.0" in message and "c=2.0" in message and "z=-1e+308" in message

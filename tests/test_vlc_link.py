@@ -12,7 +12,6 @@ from plcvlc.vlc_link import (
     avg_capacity_closed,
     avg_capacity_quad,
     channel_gain,
-    derive,
     front_end_q,
     gain_sq_cdf,
     gain_sq_pdf,
@@ -208,16 +207,6 @@ def test_support_scaling_law():
         s_min, s_max = gain_sq_support(scaled)
         assert s_min == pytest.approx(t_min * factor ** -4, rel=1e-9)
         assert s_max == pytest.approx(t_max * factor ** -4, rel=1e-9)
-
-
-def test_derived_bundle_consistent():
-    p = make_params()
-    d = derive(p)
-    assert 0.0 < d.gain_sq_min < d.gain_sq_max
-    assert d.gain_sq_max == pytest.approx(channel_gain(0.0, p) ** 2, rel=1e-12)
-    assert d.gain_sq_min == pytest.approx(channel_gain(p.cell_radius_m, p) ** 2, rel=1e-12)
-    assert d.lambertian_order == lambertian_order(p.semi_angle_rad)
-    assert d.front_end_q == front_end_q(p)
 
 
 def test_pdf_normalizes_to_one():
