@@ -7,7 +7,15 @@ a deterministic, seedable Monte Carlo engine.
 """
 
 from .errors import ConfigError, NumericDomainError, ParameterError, PlcVlcError
-from .montecarlo import METRICS, Estimate, McConfig, estimate, sample_plc_snr, sample_vlc_snr
+from .montecarlo import (
+    METRICS,
+    Estimate,
+    McConfig,
+    estimate,
+    estimate_many,
+    sample_plc_snr,
+    sample_vlc_snr,
+)
 from .plc_link import PlcLinkParams
 from .relay import (
     RelaySystemParams,
@@ -34,6 +42,7 @@ __all__ = [
     "Estimate",
     "McConfig",
     "estimate",
+    "estimate_many",
     "sample_plc_snr",
     "sample_vlc_snr",
     "PlcLinkParams",

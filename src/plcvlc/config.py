@@ -110,6 +110,8 @@ def parse_config_text(text: str) -> dict[str, float | int]:
                 raise ConfigError(
                     f"line {line_no}: key '{key}' has non-numeric value {raw_value!r}"
                 ) from exc
+            if not math.isfinite(parsed):
+                raise ConfigError(f"line {line_no}: key '{key}' must be finite, got {raw_value!r}")
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         if key in values:
@@ -150,6 +152,13 @@ def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McC
         fading_sigma_db=cfg["fading_sigma_db"],
         quadrature_order=int(cfg["quadrature_order"]),
     )
+    semi_angle_deg = cfg["semi_angle_deg"]
+    if not (0.0 < semi_angle_deg < 90.0 and math.cos(math.radians(semi_angle_deg)) < 1.0):
+        # A cosine that rounds to 1 makes the Lambertian order infinite.
+        raise ConfigError(
+            f"key 'semi_angle_deg' must lie strictly in (0, 90) with a cosine below 1, "
+            f"got {semi_angle_deg!r}"
+        )
     vlc = VlcLinkParams(
         tx_power_w=cfg["relay_power_w"],
         noise_variance=cfg["vlc_noise_variance"],
@@ -159,7 +168,7 @@ def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McC
         responsivity=cfg["responsivity_a_per_w"],
         cell_radius_m=cfg["cell_radius_m"],
         height_m=cfg["led_height_m"],
-        semi_angle_rad=math.radians(cfg["semi_angle_deg"]),
+        semi_angle_rad=math.radians(semi_angle_deg),
     )
     system = RelaySystemParams(
         plc=plc,

@@ -45,8 +45,8 @@ class PlcLinkParams:
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"PlcLinkParams.{name} must be strictly positive")
         for name in ("atten_a0", "atten_a1", "fading_sigma_db"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"PlcLinkParams.{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"PlcLinkParams.{name} must be finite and nonnegative")
         for name in ("atten_k", "fading_mu_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"PlcLinkParams.{name} must be finite")

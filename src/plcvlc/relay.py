@@ -40,8 +40,10 @@ class RelaySystemParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.duplex_factor <= 1.0:
             raise ParameterError("RelaySystemParams.duplex_factor must lie in (0, 1]")
-        if self.rate_threshold_bits < 0.0:
-            raise ParameterError("RelaySystemParams.rate_threshold_bits must be nonnegative")
+        if not 0.0 <= self.rate_threshold_bits < math.inf:
+            raise ParameterError(
+                "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
+            )
 
 
 def e2e_capacity(c_plc: float, c_vlc: float, duplex_factor: float) -> float:

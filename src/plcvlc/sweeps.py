@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from . import plc_link, relay, vlc_link
 from .config import echo_lines
 from .errors import ParameterError
-from .montecarlo import Estimate, McConfig, estimate
+# `estimate` is unused here, but perfbench/layers.py traces sweeps.estimate by name.
+from .montecarlo import Estimate, McConfig, estimate, estimate_many  # noqa: F401
 from .relay import RelaySystemParams
 
 __all__ = [
@@ -42,6 +43,9 @@ SWEEPABLE_VARIABLES: dict[str, tuple[str | None, str]] = {
 }
 
 CLOSED_VS_QUAD_RTOL = 1e-8
+
+# The sampled columns of a sweep record: capacity, then outage.
+_SWEEP_METRICS = ("e2e_avg_capacity", "e2e_outage")
 
 
 @dataclass(frozen=True)
@@ -139,28 +143,19 @@ def with_variable(system: RelaySystemParams, name: str, value: float) -> RelaySy
     return dataclasses.replace(system, vlc=dataclasses.replace(system.vlc, **{field: value}))
 
 
-def _evaluate_point(
-    system: RelaySystemParams,
-    mc: McConfig,
-    swept_value: float,
-    family_value: float | None,
-    workers: int,
-) -> SweepRecord:
+def _analytic_point(system: RelaySystemParams) -> dict[str, float]:
+    """The analytic columns of one sweep record."""
     threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
     cap_plc = plc_link.avg_capacity(system.plc)
     cap_vlc = vlc_link.avg_capacity_closed(system.vlc)
-    return SweepRecord(
-        swept_value=swept_value,
-        family_value=family_value,
-        plc_capacity=cap_plc,
-        vlc_capacity=cap_vlc,
-        e2e_capacity_bound=system.duplex_factor * min(cap_plc, cap_vlc),
-        plc_outage=plc_link.outage(system.plc, threshold),
-        vlc_outage=vlc_link.outage(system.vlc, threshold),
-        e2e_outage=relay.e2e_outage_analytic(system),
-        mc_e2e_capacity=estimate("e2e_avg_capacity", system, mc, workers=workers),
-        mc_e2e_outage=estimate("e2e_outage", system, mc, workers=workers),
-    )
+    return {
+        "plc_capacity": cap_plc,
+        "vlc_capacity": cap_vlc,
+        "e2e_capacity_bound": system.duplex_factor * min(cap_plc, cap_vlc),
+        "plc_outage": plc_link.outage(system.plc, threshold),
+        "vlc_outage": vlc_link.outage(system.vlc, threshold),
+        "e2e_outage": relay.e2e_outage_analytic(system),
+    }
 
 
 def run_sweep(
@@ -169,16 +164,35 @@ def run_sweep(
     mc: McConfig,
     workers: int = 1,
 ) -> RunReport:
-    """Evaluate every grid point (times every family value, when present)."""
-    records: list[SweepRecord] = []
+    """Evaluate every grid point (times every family value, when present).
+
+    The Monte Carlo columns of all points come from one sampling pass.
+    """
+    points: list[tuple[float, float | None, RelaySystemParams]] = []
     family: tuple[float | None, ...] = spec.family_values or (None,)
     for swept_value in spec.grid():
         for family_value in family:
             point = with_variable(system, spec.variable, swept_value)
             if spec.family_variable is not None:
                 point = with_variable(point, spec.family_variable, family_value)
-            records.append(_evaluate_point(point, mc, swept_value, family_value, workers))
-    return RunReport(spec=spec, records=tuple(records))
+            points.append((swept_value, family_value, point))
+    analytic = [_analytic_point(point) for _, _, point in points]
+    sampled = estimate_many(
+        [(metric, point) for _, _, point in points for metric in _SWEEP_METRICS], mc, workers
+    )
+    records = tuple(
+        SweepRecord(
+            swept_value=swept_value,
+            family_value=family_value,
+            **values,
+            mc_e2e_capacity=capacity,
+            mc_e2e_outage=outage,
+        )
+        for (swept_value, family_value, _), values, capacity, outage in zip(
+            points, analytic, sampled[0::2], sampled[1::2]
+        )
+    )
+    return RunReport(spec=spec, records=records)
 
 
 _CSV_COLUMNS = (
@@ -270,18 +284,17 @@ def run_validation(
         "vlc_outage": vlc_link.outage(system.vlc, threshold),
         "e2e_outage": relay.e2e_outage_analytic(system),
     }
-    rows: list[ValidationRow] = []
-    for metric, value in analytic.items():
-        sampled = estimate(metric, system, mc, workers=workers)
-        rows.append(
-            ValidationRow(
-                name=metric,
-                analytic=value,
-                reference=sampled.mean,
-                std_error=sampled.std_error,
-                agrees=abs(value - sampled.mean) <= 3.0 * sampled.std_error,
-            )
+    sampled = estimate_many([(metric, system) for metric in analytic], mc, workers)
+    rows = [
+        ValidationRow(
+            name=metric,
+            analytic=value,
+            reference=est.mean,
+            std_error=est.std_error,
+            agrees=abs(value - est.mean) <= 3.0 * est.std_error,
         )
+        for (metric, value), est in zip(analytic.items(), sampled)
+    ]
     closed = vlc_link.avg_capacity_closed(system.vlc)
     quad = vlc_link.avg_capacity_quad(system.vlc)
     rows.append(

@@ -64,14 +64,18 @@ class VlcLinkParams:
         ):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"VlcLinkParams.{name} must be strictly positive")
-        if not 0.0 < self.semi_angle_rad < math.pi / 2.0:
-            raise ParameterError("VlcLinkParams.semi_angle_rad must lie strictly in (0, pi/2)")
+        _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
+
+
+def _check_semi_angle(angle: float, name: str) -> None:
+    # Below about 1e-8 rad cos(angle) rounds to 1 and the order is infinite.
+    if not (0.0 < angle < math.pi / 2.0 and math.cos(angle) < 1.0):
+        raise ParameterError(f"{name} must lie strictly in (0, pi/2), with a cosine below 1")
 
 
 def lambertian_order(semi_angle_rad: float) -> float:
     """Lambertian mode number m = -1/log2(cos(semi_angle))."""
-    if not 0.0 < semi_angle_rad < math.pi / 2.0:
-        raise ParameterError("semi_angle_rad must lie strictly in (0, pi/2)")
+    _check_semi_angle(semi_angle_rad, "semi_angle_rad")
     return -1.0 / math.log2(math.cos(semi_angle_rad))
 
 

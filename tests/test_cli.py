@@ -214,6 +214,24 @@ def test_invalid_config_value_is_exit_two(tmp_path, capsys):
     assert "tx_power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("fading_sigma_db", "inf"),
+        ("semi_angle_deg", "1e-9"),
+        ("atten_a0", "nan"),
+        ("rate_threshold_bits", "nan"),
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert cli.main(["eval", "--config", str(path), *FAST]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+
+
 def test_bad_family_argument_is_exit_two(capsys):
     code = cli.main(
         ["sweep", "--var", "relay_power", "--from", "0.1", "--to", "0.2",

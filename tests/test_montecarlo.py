@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from plcvlc import plc_link, relay, vlc_link
+from plcvlc import montecarlo, plc_link, relay, vlc_link
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import (
     METRICS,
     Estimate,
     McConfig,
     estimate,
+    estimate_many,
     sample_plc_snr,
     sample_vlc_snr,
 )
@@ -179,3 +180,59 @@ def test_each_metric_tracks_analytic_value(default_system):
     for metric in METRICS:
         est = estimate(metric, default_system, cfg)
         assert abs(analytic[metric] - est.mean) <= 3.0 * est.std_error, metric
+
+
+# ---------------------------------------------------------------------------
+# shared sampling pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_shared_pass_matches_standalone_estimates(default_system, workers):
+    systems = [
+        default_system,
+        dataclasses.replace(
+            default_system, plc=dataclasses.replace(default_system.plc, distance_m=80.0)
+        ),
+        dataclasses.replace(
+            default_system, vlc=dataclasses.replace(default_system.vlc, height_m=3.0)
+        ),
+        dataclasses.replace(default_system, rate_threshold_bits=1.6),
+        dataclasses.replace(default_system, rate_threshold_bits=40.0),  # always in outage
+        dataclasses.replace(  # no spread at all
+            default_system,
+            plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0),
+            vlc=dataclasses.replace(default_system.vlc, cell_radius_m=1e-9),
+        ),
+    ]
+    # 10_000 trials in batches of 4096: the last batch is partial.
+    cfg = McConfig(trials=10_000, seed=13, batch_size=4096)
+    requests = [(metric, system) for system in systems for metric in METRICS]
+    requests += requests[:3]  # repeated requests share one reduction
+    shared = estimate_many(requests, cfg, workers=workers)
+    assert len(shared) == len(requests)
+    for (metric, system), est in zip(requests, shared):
+        assert est == estimate(metric, system, cfg), metric
+        if system is systems[-1]:
+            assert est.std_error == 0.0
+        if system is systems[-2] and metric.endswith("outage"):
+            assert (est.mean, est.std_error) == (1.0, 0.0)
+
+
+def test_shared_pass_of_nothing_is_empty():
+    assert estimate_many([], McConfig(trials=10_000)) == []
+
+
+def test_worker_pool_capped_at_batch_count(default_system, monkeypatch):
+    requested = []
+
+    class Recorder(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            assert max_workers == 3
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+    cfg = McConfig(trials=10_000, seed=2, batch_size=4096)
+    threaded = estimate("e2e_outage", default_system, cfg, workers=10 ** 6)
+    assert requested == [3]
+    assert threaded == estimate("e2e_outage", default_system, cfg)

@@ -49,6 +49,8 @@ def reference_noise_for_median_snr(median_snr, mu_db=0.0):
         ("atten_a0", -1e-3),
         ("atten_a1", -1e-9),
         ("fading_sigma_db", -0.5),
+        ("fading_sigma_db", math.inf),
+        ("atten_a0", math.nan),
     ],
 )
 def test_rejects_invalid_field(field, value):

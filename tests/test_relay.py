@@ -28,6 +28,8 @@ def test_system_params_validation(default_system):
         dataclasses.replace(default_system, duplex_factor=1.5)
     with pytest.raises(ParameterError):
         dataclasses.replace(default_system, rate_threshold_bits=-0.1)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(default_system, rate_threshold_bits=math.nan)
 
 
 # ---------------------------------------------------------------------------

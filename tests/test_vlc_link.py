@@ -87,10 +87,16 @@ def test_rejects_invalid_field(field, value):
     assert field in str(err.value)
 
 
-@pytest.mark.parametrize("angle", [0.0, math.pi / 2, -0.1, math.pi])
+# 1e-11 rad: the cosine rounds to 1, so the Lambertian order would be infinite.
+@pytest.mark.parametrize("angle", [0.0, math.pi / 2, -0.1, math.pi, 1e-11])
 def test_rejects_boundary_semi_angle(angle):
     with pytest.raises(ParameterError):
         make_params(semi_angle_rad=angle)
+
+
+def test_lambertian_order_rejects_unit_cosine():
+    with pytest.raises(ParameterError):
+        lambertian_order(1e-11)
 
 
 def test_lambertian_order_reference_angles():
