@@ -19,7 +19,6 @@ from .montecarlo import (
 from .plc_link import PlcLinkParams
 from .relay import (
     RelaySystemParams,
-    e2e_avg_capacity_bound,
     e2e_avg_capacity_numeric,
     e2e_capacity,
     e2e_outage,
@@ -47,7 +46,6 @@ __all__ = [
     "sample_vlc_snr",
     "PlcLinkParams",
     "RelaySystemParams",
-    "e2e_avg_capacity_bound",
     "e2e_avg_capacity_numeric",
     "e2e_capacity",
     "e2e_outage",

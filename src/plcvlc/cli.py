@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import plc_link, relay, vlc_link
+from . import plc_link, vlc_link
 from .config import echo_lines, load_config
 from .errors import ConfigError, ParameterError, PlcVlcError
 # `estimate` is unused here, but perfbench/layers.py traces cli.estimate by name.
@@ -22,6 +22,7 @@ from .sweeps import (
     FIGURE_PRESETS,
     SWEEPABLE_VARIABLES,
     SweepSpec,
+    evaluate_point,
     report_csv,
     run_sweep,
     run_validation,
@@ -99,33 +100,28 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _run_eval(system, mc, workers: int) -> str:
-    threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
-    cap_plc = plc_link.avg_capacity(system.plc)
-    cap_vlc_closed = vlc_link.avg_capacity_closed(system.vlc)
-    cap_vlc_quad = vlc_link.avg_capacity_quad(system.vlc)
+    point = evaluate_point(system)
     mc_cap, mc_out = estimate_many(
         [("e2e_avg_capacity", system), ("e2e_outage", system)], mc, workers
     )
-    lines = ["# plcvlc eval report"]
-    lines.extend(echo_lines(system, mc))
-    lines.extend(
-        [
-            f"plc_attenuation_per_m = {plc_link.attenuation_coeff(system.plc)!r}",
-            f"plc_snr_scale = {plc_link.snr_scale(system.plc)!r}",
-            f"snr_threshold = {threshold!r}",
-            f"plc_capacity = {cap_plc!r}",
-            f"vlc_capacity_closed = {cap_vlc_closed!r}",
-            f"vlc_capacity_quad = {cap_vlc_quad!r}",
-            f"e2e_capacity_bound = {system.duplex_factor * min(cap_plc, cap_vlc_closed)!r}",
-            f"e2e_capacity_mc = {mc_cap.mean!r}",
-            f"e2e_capacity_mc_se = {mc_cap.std_error!r}",
-            f"plc_outage = {plc_link.outage(system.plc, threshold)!r}",
-            f"vlc_outage = {vlc_link.outage(system.vlc, threshold)!r}",
-            f"e2e_outage = {relay.e2e_outage_analytic(system)!r}",
-            f"e2e_outage_mc = {mc_out.mean!r}",
-            f"e2e_outage_mc_se = {mc_out.std_error!r}",
-        ]
-    )
+    report = [
+        ("plc_attenuation_per_m", plc_link.attenuation_coeff(system.plc)),
+        ("plc_snr_scale", plc_link.snr_scale(system.plc)),
+        ("snr_threshold", point["snr_threshold"]),
+        ("plc_capacity", point["plc_capacity"]),
+        ("vlc_capacity_closed", point["vlc_capacity"]),
+        ("vlc_capacity_quad", vlc_link.avg_capacity_quad(system.vlc)),
+        ("e2e_capacity_bound", point["e2e_capacity_bound"]),
+        ("e2e_capacity_mc", mc_cap.mean),
+        ("e2e_capacity_mc_se", mc_cap.std_error),
+        ("plc_outage", point["plc_outage"]),
+        ("vlc_outage", point["vlc_outage"]),
+        ("e2e_outage", point["e2e_outage"]),
+        ("e2e_outage_mc", mc_out.mean),
+        ("e2e_outage_mc_se", mc_out.std_error),
+    ]
+    lines = ["# plcvlc eval report", *echo_lines(system, mc)]
+    lines += [f"{name} = {value!r}" for name, value in report]
     return "\n".join(lines) + "\n"
 
 

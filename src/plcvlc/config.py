@@ -9,9 +9,12 @@ Every effective value can be echoed back so no default stays hidden.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from pathlib import Path
 
+from . import plc_link
 from .errors import ConfigError
 from .montecarlo import McConfig
 from .plc_link import PlcLinkParams
@@ -19,30 +22,6 @@ from .relay import RelaySystemParams
 from .vlc_link import VlcLinkParams
 
 __all__ = ["DEFAULTS", "parse_config_text", "load_config", "effective_items", "echo_lines"]
-
-_FLOAT_KEYS = (
-    "frequency_hz",
-    "atten_k",
-    "atten_a0",
-    "atten_a1",
-    "plc_distance_m",
-    "source_power_w",
-    "plc_median_snr_db",
-    "plc_noise_variance",
-    "fading_mu_db",
-    "fading_sigma_db",
-    "relay_power_w",
-    "vlc_noise_variance",
-    "detector_area_m2",
-    "filter_gain_db",
-    "concentrator_gain_db",
-    "responsivity_a_per_w",
-    "cell_radius_m",
-    "led_height_m",
-    "semi_angle_deg",
-    "duplex_factor",
-    "rate_threshold_bits",
-)
 
 _INT_KEYS = ("quadrature_order", "trials", "seed", "batch_size")
 
@@ -73,6 +52,8 @@ DEFAULTS: dict[str, float | int | None] = {
     "seed": 1,
     "batch_size": 65_536,
 }
+
+_FLOAT_KEYS = tuple(key for key in DEFAULTS if key not in _INT_KEYS)
 
 
 def _parse_int(key: str, raw: str, line_no: int) -> int:
@@ -120,26 +101,47 @@ def parse_config_text(text: str) -> dict[str, float | int]:
     return values
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+# The keys behind the PLC SNR scale a = P_s * exp(-2*alpha*d) / sigma_r^2.
+_PLC_SCALE_KEYS = (
+    "frequency_hz", "atten_k", "atten_a0", "atten_a1", "plc_distance_m", "source_power_w",
+)
+
+
+def _positive_normal(what: str, compute, values: dict, keys: tuple[str, ...]) -> float:
+    """``compute()``, refused unless it is a positive normal float.
+
+    The ConfigError names those of ``keys`` that were set, or all of them.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        named = [key for key in keys if key in values] or list(keys)
+        raise ConfigError(
+            f"{what} = {value!r} is out of range; check key(s) {', '.join(map(repr, named))}"
+        )
+    return value
+
+
+def _db_to_linear(cfg: dict, key: str, db_per_decade: float = 10.0) -> float:
+    return _positive_normal(
+        f"the linear value of key '{key}'", lambda: 10.0 ** (cfg[key] / db_per_decade), cfg, (key,)
+    )
 
 
 def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McConfig]:
-    """Build the parameter objects from a fully merged key/value mapping."""
+    """Build the parameter objects from a fully merged key/value mapping.
+
+    Besides the parameter classes' own checks, every dB value converted here
+    and the derived PLC noise variance, PLC SNR scale and VLC transmit SNR
+    must be positive normal floats; otherwise a ConfigError names the keys.
+    """
     cfg = dict(DEFAULTS)
     cfg.update(values)
 
-    noise = cfg["plc_noise_variance"]
-    if noise is None:
-        # Pin the median relay SNR: a * 10**(mu/5) = 10**(snr_db/10).
-        alpha = cfg["atten_a0"] + cfg["atten_a1"] * cfg["frequency_hz"] ** cfg["atten_k"]
-        noise = (
-            cfg["source_power_w"]
-            * math.exp(-2.0 * alpha * cfg["plc_distance_m"])
-            * 10.0 ** (cfg["fading_mu_db"] / 5.0)
-            / _db_to_linear(cfg["plc_median_snr_db"])
-        )
-
+    mu_linear = _db_to_linear(cfg, "fading_mu_db", 5.0)
+    pinned_noise = cfg["plc_noise_variance"]
     plc = PlcLinkParams(
         frequency_hz=cfg["frequency_hz"],
         atten_k=cfg["atten_k"],
@@ -147,11 +149,24 @@ def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McC
         atten_a1=cfg["atten_a1"],
         distance_m=cfg["plc_distance_m"],
         tx_power_w=cfg["source_power_w"],
-        noise_variance=noise,
+        noise_variance=1.0 if pinned_noise is None else pinned_noise,
         fading_mu_db=cfg["fading_mu_db"],
         fading_sigma_db=cfg["fading_sigma_db"],
         quadrature_order=int(cfg["quadrature_order"]),
     )
+    scale_keys = _PLC_SCALE_KEYS + ("plc_noise_variance",)
+    if pinned_noise is None:
+        # Pin the median relay SNR: a * 10**(mu/5) = 10**(snr_db/10).  With a
+        # unit noise variance snr_scale(plc) is P_s * exp(-2*alpha*d) exactly.
+        scale_keys = _PLC_SCALE_KEYS + ("fading_mu_db", "plc_median_snr_db")
+        snr_linear = _db_to_linear(cfg, "plc_median_snr_db")
+        noise = _positive_normal(
+            "the derived PLC noise variance",
+            lambda: plc_link.snr_scale(plc) * mu_linear / snr_linear, values, scale_keys,
+        )
+        plc = dataclasses.replace(plc, noise_variance=noise)
+    _positive_normal("the PLC SNR scale", lambda: plc_link.snr_scale(plc), values, scale_keys)
+
     semi_angle_deg = cfg["semi_angle_deg"]
     if not (0.0 < semi_angle_deg < 90.0 and math.cos(math.radians(semi_angle_deg)) < 1.0):
         # A cosine that rounds to 1 makes the Lambertian order infinite.
@@ -163,12 +178,16 @@ def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McC
         tx_power_w=cfg["relay_power_w"],
         noise_variance=cfg["vlc_noise_variance"],
         detector_area=cfg["detector_area_m2"],
-        filter_gain=_db_to_linear(cfg["filter_gain_db"]),
-        concentrator_gain=_db_to_linear(cfg["concentrator_gain_db"]),
+        filter_gain=_db_to_linear(cfg, "filter_gain_db"),
+        concentrator_gain=_db_to_linear(cfg, "concentrator_gain_db"),
         responsivity=cfg["responsivity_a_per_w"],
         cell_radius_m=cfg["cell_radius_m"],
         height_m=cfg["led_height_m"],
         semi_angle_rad=math.radians(semi_angle_deg),
+    )
+    _positive_normal(
+        "the VLC transmit SNR", lambda: vlc.tx_power_w / vlc.noise_variance, values,
+        ("relay_power_w", "vlc_noise_variance"),
     )
     system = RelaySystemParams(
         plc=plc,
@@ -196,33 +215,13 @@ def load_config(path: str | Path | None) -> tuple[RelaySystemParams, McConfig]:
 
 
 def effective_items(system: RelaySystemParams, mc: McConfig) -> list[tuple[str, object]]:
-    """The full effective parameter set, in a fixed canonical order."""
-    plc, vlc = system.plc, system.vlc
+    """The full effective parameter set: every field of each parameter class, in field order."""
+    groups = (("plc", system.plc), ("vlc", system.vlc), ("system", system), ("mc", mc))
     return [
-        ("plc.frequency_hz", plc.frequency_hz),
-        ("plc.atten_k", plc.atten_k),
-        ("plc.atten_a0", plc.atten_a0),
-        ("plc.atten_a1", plc.atten_a1),
-        ("plc.distance_m", plc.distance_m),
-        ("plc.tx_power_w", plc.tx_power_w),
-        ("plc.noise_variance", plc.noise_variance),
-        ("plc.fading_mu_db", plc.fading_mu_db),
-        ("plc.fading_sigma_db", plc.fading_sigma_db),
-        ("plc.quadrature_order", plc.quadrature_order),
-        ("vlc.tx_power_w", vlc.tx_power_w),
-        ("vlc.noise_variance", vlc.noise_variance),
-        ("vlc.detector_area", vlc.detector_area),
-        ("vlc.filter_gain", vlc.filter_gain),
-        ("vlc.concentrator_gain", vlc.concentrator_gain),
-        ("vlc.responsivity", vlc.responsivity),
-        ("vlc.cell_radius_m", vlc.cell_radius_m),
-        ("vlc.height_m", vlc.height_m),
-        ("vlc.semi_angle_rad", vlc.semi_angle_rad),
-        ("system.duplex_factor", system.duplex_factor),
-        ("system.rate_threshold_bits", system.rate_threshold_bits),
-        ("mc.trials", mc.trials),
-        ("mc.seed", mc.seed),
-        ("mc.batch_size", mc.batch_size),
+        (f"{prefix}.{field.name}", getattr(params, field.name))
+        for prefix, params in groups
+        for field in dataclasses.fields(params)
+        if field.name not in ("plc", "vlc")
     ]
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "rate_to_snr_threshold",
     "e2e_outage",
     "e2e_outage_analytic",
-    "e2e_avg_capacity_bound",
     "e2e_avg_capacity_numeric",
 ]
 
@@ -43,6 +42,16 @@ class RelaySystemParams:
         if not 0.0 <= self.rate_threshold_bits < math.inf:
             raise ParameterError(
                 "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
+            )
+        try:
+            threshold = rate_to_snr_threshold(self.rate_threshold_bits, self.duplex_factor)
+        except OverflowError:
+            threshold = math.inf
+        if not math.isfinite(threshold):
+            raise ParameterError(
+                f"RelaySystemParams.rate_threshold_bits / duplex_factor = "
+                f"{self.rate_threshold_bits!r} / {self.duplex_factor!r} overflows the SNR "
+                f"threshold 2**(rate_threshold_bits / duplex_factor) - 1"
             )
 
 
@@ -78,13 +87,6 @@ def e2e_outage_analytic(s: RelaySystemParams) -> float:
     if threshold == 0.0:
         return 0.0
     return e2e_outage(plc_link.outage(s.plc, threshold), vlc_link.outage(s.vlc, threshold))
-
-
-def e2e_avg_capacity_bound(s: RelaySystemParams) -> float:
-    """Upper bound duplex_factor * min(E[C_plc], E[C_vlc]) on the mean capacity."""
-    return s.duplex_factor * min(
-        plc_link.avg_capacity(s.plc), vlc_link.avg_capacity_closed(s.vlc)
-    )
 
 
 def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:

@@ -1,5 +1,8 @@
 """Parameter sweeps, figure presets, validation runs and their CSV output.
 
+``evaluate_point`` computes every analytic value of an operating point; sweeps,
+validation runs and the ``eval`` command take their analytic numbers from it.
+
 CSV files start with a comment block that echoes the full effective parameter
 set; every number is written in shortest round-trip form, so a sweep with a
 fixed config and seed is byte-identical across runs and worker counts.
@@ -26,6 +29,7 @@ __all__ = [
     "RunReport",
     "ValidationRow",
     "with_variable",
+    "evaluate_point",
     "run_sweep",
     "report_csv",
     "run_validation",
@@ -90,6 +94,7 @@ class SweepRecord:
 
     swept_value: float
     family_value: float | None
+    snr_threshold: float
     plc_capacity: float
     vlc_capacity: float
     e2e_capacity_bound: float
@@ -143,15 +148,16 @@ def with_variable(system: RelaySystemParams, name: str, value: float) -> RelaySy
     return dataclasses.replace(system, vlc=dataclasses.replace(system.vlc, **{field: value}))
 
 
-def _analytic_point(system: RelaySystemParams) -> dict[str, float]:
-    """The analytic columns of one sweep record."""
+def evaluate_point(system: RelaySystemParams) -> dict[str, float]:
+    """Every analytic value of one operating point, keyed by its ``SweepRecord`` field."""
     threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
-    cap_plc = plc_link.avg_capacity(system.plc)
-    cap_vlc = vlc_link.avg_capacity_closed(system.vlc)
+    plc_capacity = plc_link.avg_capacity(system.plc)
+    vlc_capacity = vlc_link.avg_capacity_closed(system.vlc)
     return {
-        "plc_capacity": cap_plc,
-        "vlc_capacity": cap_vlc,
-        "e2e_capacity_bound": system.duplex_factor * min(cap_plc, cap_vlc),
+        "snr_threshold": threshold,
+        "plc_capacity": plc_capacity,
+        "vlc_capacity": vlc_capacity,
+        "e2e_capacity_bound": relay.e2e_capacity(plc_capacity, vlc_capacity, system.duplex_factor),
         "plc_outage": plc_link.outage(system.plc, threshold),
         "vlc_outage": vlc_link.outage(system.vlc, threshold),
         "e2e_outage": relay.e2e_outage_analytic(system),
@@ -176,7 +182,6 @@ def run_sweep(
             if spec.family_variable is not None:
                 point = with_variable(point, spec.family_variable, family_value)
             points.append((swept_value, family_value, point))
-    analytic = [_analytic_point(point) for _, _, point in points]
     sampled = estimate_many(
         [(metric, point) for _, _, point in points for metric in _SWEEP_METRICS], mc, workers
     )
@@ -184,12 +189,12 @@ def run_sweep(
         SweepRecord(
             swept_value=swept_value,
             family_value=family_value,
-            **values,
+            **evaluate_point(point),
             mc_e2e_capacity=capacity,
             mc_e2e_outage=outage,
         )
-        for (swept_value, family_value, _), values, capacity, outage in zip(
-            points, analytic, sampled[0::2], sampled[1::2]
+        for (swept_value, family_value, point), capacity, outage in zip(
+            points, sampled[0::2], sampled[1::2]
         )
     )
     return RunReport(spec=spec, records=records)
@@ -275,14 +280,14 @@ def run_validation(
     closed-form row agrees when it matches the adaptive quadrature to
     ``CLOSED_VS_QUAD_RTOL`` relative.
     """
-    threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
+    point = evaluate_point(system)
     analytic = {
-        "plc_avg_capacity": plc_link.avg_capacity(system.plc),
-        "vlc_avg_capacity": vlc_link.avg_capacity_closed(system.vlc),
+        "plc_avg_capacity": point["plc_capacity"],
+        "vlc_avg_capacity": point["vlc_capacity"],
         "e2e_avg_capacity": relay.e2e_avg_capacity_numeric(system),
-        "plc_outage": plc_link.outage(system.plc, threshold),
-        "vlc_outage": vlc_link.outage(system.vlc, threshold),
-        "e2e_outage": relay.e2e_outage_analytic(system),
+        "plc_outage": point["plc_outage"],
+        "vlc_outage": point["vlc_outage"],
+        "e2e_outage": point["e2e_outage"],
     }
     sampled = estimate_many([(metric, system) for metric in analytic], mc, workers)
     rows = [
@@ -295,8 +300,7 @@ def run_validation(
         )
         for (metric, value), est in zip(analytic.items(), sampled)
     ]
-    closed = vlc_link.avg_capacity_closed(system.vlc)
-    quad = vlc_link.avg_capacity_quad(system.vlc)
+    closed, quad = point["vlc_capacity"], vlc_link.avg_capacity_quad(system.vlc)
     rows.append(
         ValidationRow(
             name="vlc_capacity_closed_vs_quad",

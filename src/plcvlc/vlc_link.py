@@ -11,6 +11,7 @@ hypergeometric function).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ __all__ = [
     "avg_capacity_closed",
     "outage",
 ]
+
+
+# Below this t*rho, 2F1(1, -beta; 1-beta; -t*rho) - 1 in avg_capacity_closed
+# loses more than about 1e-12 relative to cancellation.
+_SMALL_Z = 1e-3
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,12 @@ class VlcLinkParams:
         ):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"VlcLinkParams.{name} must be strictly positive")
+        if not sys.float_info.min <= self.cell_radius_m * self.cell_radius_m < math.inf:
+            # The gain law divides by the squared radius.
+            raise ParameterError(
+                f"VlcLinkParams.cell_radius_m must have a positive normal float square, "
+                f"got {self.cell_radius_m!r}"
+            )
         _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
 
 
@@ -196,15 +208,23 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     """Average spectral efficiency in closed form via the 2F1 function.
 
     Equals ``avg_capacity_quad`` to within 1e-8 relative; the two routes act
-    as mutual oracles.
+    as mutual oracles.  Where z = t*rho < ``_SMALL_Z`` the antiderivative
+    takes (m+3)*(2F1(1, -beta; 1-beta; -z) - 1) as
+    z/(1-beta) * 2F1(1, 1-beta; 2-beta; -z), which does not cancel, so the
+    mean stays accurate (and positive) as the transmit SNR vanishes.
     """
     m, c_const, t_min, t_max = _shape(p)
     rho = p.tx_power_w / p.noise_variance
     beta = 1.0 / (m + 3.0)
 
     def antiderivative(t: float) -> float:
-        f21 = hyp2f1(1.0, -beta, 1.0 - beta, -t * rho)
-        return t ** (-beta) * ((m + 3.0) * (f21 - 1.0) - math.log1p(t * rho))
+        z = t * rho
+        if z < _SMALL_Z:
+            # 2F1(1, b; c; x) - 1 = (b/c) * x * 2F1(1, b+1; c+1; x), with (m+3)*beta = 1.
+            excess = z / (1.0 - beta) * hyp2f1(1.0, 1.0 - beta, 2.0 - beta, -z)
+        else:
+            excess = (m + 3.0) * (hyp2f1(1.0, -beta, 1.0 - beta, -z) - 1.0)
+        return t ** (-beta) * (excess - math.log1p(z))
 
     scale = c_const / (p.cell_radius_m ** 2 * math.log(2.0))
     return scale * (antiderivative(t_max) - antiderivative(t_min))

@@ -9,6 +9,7 @@ from plcvlc.montecarlo import McConfig
 from plcvlc.sweeps import (
     FIGURE_PRESETS,
     SweepSpec,
+    evaluate_point,
     report_csv,
     run_sweep,
     run_validation,
@@ -132,6 +133,49 @@ def test_validation_detects_corrupted_analytics(default_system, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one analytic evaluator
+# ---------------------------------------------------------------------------
+
+def test_every_front_end_reports_the_evaluator_values(default_system, capsys):
+    point = evaluate_point(default_system)
+    assert set(point) == {
+        "snr_threshold", "plc_capacity", "vlc_capacity", "e2e_capacity_bound",
+        "plc_outage", "vlc_outage", "e2e_outage",
+    }
+
+    assert cli.main(["eval", *FAST]) == 0
+    printed = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines()
+        if not line.startswith("#")
+    )
+    eval_names = {"vlc_capacity_closed": "vlc_capacity"}
+    for name, value in printed.items():
+        key = eval_names.get(name, name)
+        if key in point:
+            assert float(value) == point[key], name
+    assert {eval_names.get(name, name) for name in printed} >= set(point)
+
+    rows, _ = run_validation(default_system, McConfig(trials=2000, seed=4))
+    validation_names = {
+        "plc_avg_capacity": "plc_capacity",
+        "vlc_avg_capacity": "vlc_capacity",
+        "plc_outage": "plc_outage",
+        "vlc_outage": "vlc_outage",
+        "e2e_outage": "e2e_outage",
+        "vlc_capacity_closed_vs_quad": "vlc_capacity",
+    }
+    for row in rows:
+        if row.name in validation_names:
+            assert row.analytic == point[validation_names[row.name]], row.name
+
+    # The first grid point of this sweep is the default system.
+    spec = SweepSpec("relay_power", default_system.vlc.tx_power_w, 0.2, 2)
+    record = run_sweep(spec, default_system, McConfig(trials=2000, seed=4)).records[0]
+    for key, value in point.items():
+        assert getattr(record, key) == value, key
+
+
+# ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
 
@@ -221,6 +265,19 @@ def test_invalid_config_value_is_exit_two(tmp_path, capsys):
         ("semi_angle_deg", "1e-9"),
         ("atten_a0", "nan"),
         ("rate_threshold_bits", "nan"),
+        # A value may carry further config lines.
+        pytest.param(
+            "plc_distance_m", "200000\nplc_noise_variance = 0.001",
+            id="plc_distance_m-200000-pinned-noise",
+        ),
+        ("plc_distance_m", "200000"),
+        ("frequency_hz", "1e300"),
+        ("rate_threshold_bits", "2000"),
+        ("duplex_factor", "1e-300"),
+        ("fading_mu_db", "1e6"),
+        ("plc_median_snr_db", "4000"),
+        ("cell_radius_m", "1e-300"),
+        ("vlc_noise_variance", "1e-320"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
@@ -229,6 +286,7 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
     assert cli.main(["eval", "--config", str(path), *FAST]) == 2
     captured = capsys.readouterr()
     assert key in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -121,8 +121,33 @@ def test_missing_file_is_config_error(tmp_path):
 def test_echo_covers_every_effective_value():
     system, mc = load_config(None)
     items = dict(effective_items(system, mc))
-    # one echoed entry per parameter field, nothing hidden
-    assert len(items) == 24
+    # one echoed entry per parameter field, nothing hidden, in this order
+    assert list(items) == [
+        "plc.frequency_hz",
+        "plc.atten_k",
+        "plc.atten_a0",
+        "plc.atten_a1",
+        "plc.distance_m",
+        "plc.tx_power_w",
+        "plc.noise_variance",
+        "plc.fading_mu_db",
+        "plc.fading_sigma_db",
+        "plc.quadrature_order",
+        "vlc.tx_power_w",
+        "vlc.noise_variance",
+        "vlc.detector_area",
+        "vlc.filter_gain",
+        "vlc.concentrator_gain",
+        "vlc.responsivity",
+        "vlc.cell_radius_m",
+        "vlc.height_m",
+        "vlc.semi_angle_rad",
+        "system.duplex_factor",
+        "system.rate_threshold_bits",
+        "mc.trials",
+        "mc.seed",
+        "mc.batch_size",
+    ]
     assert items["plc.noise_variance"] == system.plc.noise_variance
     assert items["vlc.noise_variance"] == DEFAULTS["vlc_noise_variance"]
     assert items["system.duplex_factor"] == 0.5

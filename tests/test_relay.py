@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcvlc import montecarlo
-from plcvlc.sweeps import with_variable
+from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
 from plcvlc.relay import (
     RelaySystemParams,
-    e2e_avg_capacity_bound,
     e2e_avg_capacity_numeric,
     e2e_capacity,
     e2e_outage,
@@ -30,6 +29,11 @@ def test_system_params_validation(default_system):
         dataclasses.replace(default_system, rate_threshold_bits=-0.1)
     with pytest.raises(ParameterError):
         dataclasses.replace(default_system, rate_threshold_bits=math.nan)
+    # 2**(rate / duplex) - 1 must stay a float; the message names both fields.
+    for rate, duplex in ((2000.0, 0.5), (1.0, 1e-300), (1.0, 1e-310)):
+        with pytest.raises(ParameterError, match="rate_threshold_bits.*duplex_factor"):
+            dataclasses.replace(default_system, rate_threshold_bits=rate, duplex_factor=duplex)
+    dataclasses.replace(default_system, rate_threshold_bits=1023.0, duplex_factor=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ def test_numeric_mean_capacity_degenerate_system(default_system):
 
 def test_numeric_mean_capacity_below_bound(default_system):
     numeric = e2e_avg_capacity_numeric(default_system)
-    bound = e2e_avg_capacity_bound(default_system)
+    bound = evaluate_point(default_system)["e2e_capacity_bound"]
     assert 0.0 < numeric <= bound + 1e-12
 
 

@@ -78,6 +78,9 @@ def support_closed_expressions(p):
         ("noise_variance", -1.0),
         ("detector_area", 0.0),
         ("cell_radius_m", -2.0),
+        # the gain law divides by the squared radius, which must stay a normal float
+        ("cell_radius_m", 1e-300),
+        ("cell_radius_m", 1e200),
         ("height_m", 0.0),
     ],
 )
@@ -331,6 +334,14 @@ def test_capacity_degenerate_cell():
 
 def test_closed_equals_quadrature_at_default_point():
     p = make_params()
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8)
+
+
+# 2F1 - 1 used to cancel here: the closed form was 7e-5, 8e-2 and 4 (with the
+# wrong sign) off the quadrature.
+@pytest.mark.parametrize("power", [1e-13, 1e-16, 1e-20])
+def test_closed_equals_quadrature_at_vanishing_snr(power):
+    p = make_params(tx_power_w=power)
     assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8)
 
 
