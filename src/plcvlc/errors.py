@@ -10,7 +10,7 @@ class ParameterError(PlcVlcError, ValueError):
 
 
 class NumericDomainError(PlcVlcError, ArithmeticError):
-    """A numeric routine left its supported domain or failed to converge."""
+    """A numeric routine left its supported domain."""
 
 
 class ConfigError(PlcVlcError, ValueError):

@@ -153,14 +153,16 @@ def evaluate_point(system: RelaySystemParams) -> dict[str, float]:
     threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
     plc_capacity = plc_link.avg_capacity(system.plc)
     vlc_capacity = vlc_link.avg_capacity_closed(system.vlc)
+    plc_outage = plc_link.outage(system.plc, threshold)
+    vlc_outage = vlc_link.outage(system.vlc, threshold)
     return {
         "snr_threshold": threshold,
         "plc_capacity": plc_capacity,
         "vlc_capacity": vlc_capacity,
         "e2e_capacity_bound": relay.e2e_capacity(plc_capacity, vlc_capacity, system.duplex_factor),
-        "plc_outage": plc_link.outage(system.plc, threshold),
-        "vlc_outage": vlc_link.outage(system.vlc, threshold),
-        "e2e_outage": relay.e2e_outage_analytic(system),
+        "plc_outage": plc_outage,
+        "vlc_outage": vlc_outage,
+        "e2e_outage": relay.e2e_outage(plc_outage, vlc_outage),
     }
 
 
@@ -277,7 +279,7 @@ def run_validation(
     """Compare all six metrics against Monte Carlo, plus closed form vs quadrature.
 
     A metric row agrees when |analytic - sampled| <= 3 standard errors; the
-    closed-form row agrees when it matches the adaptive quadrature to
+    closed-form row agrees when it matches the Gauss-Legendre quadrature to
     ``CLOSED_VS_QUAD_RTOL`` relative.
     """
     point = evaluate_point(system)

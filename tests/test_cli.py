@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plcvlc
 from plcvlc import cli, plc_link
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
@@ -233,6 +238,31 @@ def test_validate_exit_zero(capsys):
     assert cli.main(["validate", "--trials", "20000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "plc_avg_capacity" in out and "agree" in out
+
+
+def test_validate_at_narrow_beam_and_wide_cell(tmp_path, capsys):
+    # An adaptive end-to-end integral used to stop on roundoff here.
+    path = tmp_path / "narrow.cfg"
+    path.write_text("semi_angle_deg = 20\ncell_radius_m = 4.5\n")
+    cli.main(["validate", "--config", str(path), "--trials", "20000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert "did not converge" not in captured.err
+    assert "Traceback" not in captured.err
+    row = [line for line in captured.out.splitlines() if line.startswith("e2e_avg_capacity ")]
+    assert len(row) == 1
+    assert math.isfinite(float(row[0].split()[1]))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = str(Path(plcvlc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, plcvlc.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_validate_exit_one_on_disagreement(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcvlc import montecarlo
+from plcvlc import montecarlo, relay
 from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
 from plcvlc.relay import (
@@ -195,6 +195,22 @@ def test_numeric_mean_capacity_degenerate_system(default_system):
     assert e2e_avg_capacity_numeric(s) == pytest.approx(expected, rel=1e-9)
 
 
+def test_numeric_mean_capacity_error_estimate(default_system):
+    deterministic_plc = dataclasses.replace(
+        default_system, plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
+    )
+    for s in (default_system, deterministic_plc):
+        value, error = relay._e2e_mean_and_error(s)
+        assert value == e2e_avg_capacity_numeric(s)
+        assert 0.0 <= error <= 1e-12 * value
+
+
+def test_evaluator_outage_equals_analytic_outage(default_system):
+    for rate in (0.0, 0.4, 1.0, 2.2, 60.0):
+        s = dataclasses.replace(default_system, rate_threshold_bits=rate)
+        assert evaluate_point(s)["e2e_outage"] == e2e_outage_analytic(s)
+
+
 def test_numeric_mean_capacity_below_bound(default_system):
     numeric = e2e_avg_capacity_numeric(default_system)
     bound = evaluate_point(default_system)["e2e_capacity_bound"]
@@ -227,7 +243,8 @@ def _survival_product_reference(s):
         rho = mp.mpf(vlc.tx_power_w) / vlc.noise_variance
 
         def survival_product(t):
-            snr = 2 ** t - 1
+            # expm1 keeps the SNR nonzero at tanh-sinh nodes next to t = 0.
+            snr = mp.expm1(t * mp.log(2))
             keep_plc = 1 - mp.ncdf((5 * mp.log10(snr / a) - mu) / sigma)
             r_sq = (amplitude / mp.sqrt(snr / rho)) ** (2 / (m + 3)) - height * height
             return keep_plc * min(max(r_sq / radius ** 2, 0), 1)
@@ -235,6 +252,20 @@ def _survival_product_reference(s):
         edge = mp.log(1 + rho * amplitude ** 2 * (radius ** 2 + height ** 2) ** (-(m + 3)), 2)
         top = mp.log(1 + rho * amplitude ** 2 * height ** (-2 * (m + 3)), 2)
         return float(s.duplex_factor * mp.quad(survival_product, [0, edge, top]))
+
+
+# (semi-angle in degrees, cell radius, LED height, relay power) of the 18
+# points of the lattice 15-20 degrees x {2.5, 3.6, 4.5} m x {2.15, 2.5, 3.0} m
+# x {0.02, 0.1, 0.5} W, at the default PLC distance and fading, on which an
+# adaptive quad stopped on roundoff in its extrapolation table.
+_ADAPTIVE_QUAD_FAILURES = [
+    (15, 3.6, 2.5, 0.02), (15, 3.6, 2.5, 0.1), (16, 3.6, 2.15, 0.1),
+    (16, 3.6, 2.15, 0.5), (16, 3.6, 2.5, 0.02), (16, 4.5, 3.0, 0.02),
+    (16, 4.5, 3.0, 0.1), (17, 3.6, 2.15, 0.1), (17, 4.5, 2.5, 0.1),
+    (17, 4.5, 3.0, 0.02), (18, 4.5, 2.15, 0.5), (18, 4.5, 2.5, 0.02),
+    (18, 4.5, 2.5, 0.1), (19, 4.5, 2.15, 0.1), (19, 4.5, 2.15, 0.5),
+    (19, 4.5, 2.5, 0.02), (20, 4.5, 2.15, 0.02), (20, 4.5, 2.15, 0.1),
+]
 
 
 @pytest.mark.parametrize(
@@ -245,6 +276,8 @@ def _survival_product_reference(s):
         # and used to return a value 1.4e-7 off, above its own epsrel
         (2.8168135527311846, 4.349333184129176, 0.4415603400051664,
          46.836303644571146, 45.45592058378384, 5.769755010842858),
+        *[(height, radius, power, 30.0, angle, 3.0)
+          for angle, radius, height, power in _ADAPTIVE_QUAD_FAILURES],
     ],
 )
 def test_numeric_mean_capacity_matches_split_reference(

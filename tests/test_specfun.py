@@ -9,7 +9,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy import integrate
 
 from plcvlc.errors import NumericDomainError, ParameterError
-from plcvlc.specfun import gauss_hermite, hyp2f1, std_normal_cdf
+from plcvlc.specfun import gauss_hermite, gauss_legendre_panels, hyp2f1, std_normal_cdf
 
 mp.mp.dps = 30
 
@@ -94,6 +94,28 @@ def test_rule_is_deterministic():
 def test_order_out_of_range(order):
     with pytest.raises(ParameterError):
         gauss_hermite(order)
+
+
+# ---------------------------------------------------------------------------
+# gauss_legendre_panels
+# ---------------------------------------------------------------------------
+
+def test_panels_integrate_piecewise_polynomials_exactly():
+    # Degree 2n - 1 = 7 on each panel, with a kink at the split point 1.
+    nodes, weights = gauss_legendre_panels(-1.0, 3.0, 4, splits=(1.0, -5.0, 7.0, math.nan))
+    assert nodes.size == weights.size == 2 * 2 * 4
+    assert np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 3.0
+    # x**7 integrates to 0 over [-1, 1], (x - 1)**3 to 2**4 / 4 over [1, 3].
+    values = np.where(nodes < 1.0, nodes ** 7, (nodes - 1.0) ** 3)
+    assert weights @ values == pytest.approx(4.0, rel=1e-14)
+
+
+def test_panels_graded_toward_zero():
+    nodes, weights = gauss_legendre_panels(1.0, 1e6, 16, grading=4.0)
+    # ceil(log4(1e6)) = 10 segments of two panels each.
+    assert nodes.size == 10 * 2 * 16
+    assert weights @ (1.0 / nodes) == pytest.approx(math.log(1e6), rel=1e-13)
+    assert gauss_legendre_panels(1.0, 1e6, 16)[0].size == 2 * 16
 
 
 # ---------------------------------------------------------------------------
