@@ -9,7 +9,6 @@ with an optional family), ``figure`` (preset sweeps 2-5), and ``validate``
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -79,19 +78,6 @@ def _parse_family(text: str) -> tuple[str, tuple[float, ...]]:
     return key, values
 
 
-def _apply_overrides(system, mc, args):
-    if args.duplex_factor is not None:
-        system = dataclasses.replace(system, duplex_factor=args.duplex_factor)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        mc = dataclasses.replace(mc, **overrides)
-    return system, mc
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -128,8 +114,10 @@ def _run_eval(system, mc, workers: int) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        system, mc = load_config(args.config)
-        system, mc = _apply_overrides(system, mc, args)
+        overrides = {"trials": args.trials, "seed": args.seed, "duplex_factor": args.duplex_factor}
+        system, mc = load_config(
+            args.config, {key: value for key, value in overrides.items() if value is not None}
+        )
 
         if args.command == "eval":
             _write_output(_run_eval(system, mc, args.workers), args.out)

@@ -61,7 +61,7 @@ class RelaySystemParams:
             threshold = math.inf
         if not math.isfinite(threshold):
             raise ParameterError(
-                f"RelaySystemParams.rate_threshold_bits / duplex_factor = "
+                f"RelaySystemParams.rate_threshold_bits / RelaySystemParams.duplex_factor = "
                 f"{self.rate_threshold_bits!r} / {self.duplex_factor!r} overflows the SNR "
                 f"threshold 2**(rate_threshold_bits / duplex_factor) - 1"
             )
@@ -162,7 +162,8 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
 
     u_start = max(u_low, u_at(centre + tail))
     if u_start < u_high:
-        splits = (u_at(0.0), u_at(centre), u_at(centre - tail))
+        # A split at or below the edge lies past u_high, where exp may overflow.
+        splits = tuple(u_at(y) for y in (0.0, centre, centre - tail) if y > y_edge)
         u, w = gauss_legendre_panels(u_start, u_high, order, splits, grading=vlc_link.U_GRADING)
         y = log_rho - np.log(u) / beta
         keep_vlc = (u - u_low) / (u_high - u_low)

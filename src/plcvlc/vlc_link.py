@@ -48,7 +48,8 @@ class VlcLinkParams:
     """LED geometry, optical front end and noise of the visible-light hop.
 
     ``filter_gain`` and ``concentrator_gain`` are linear (convert dB values
-    before constructing the params).
+    before constructing the params).  The squared gain must stay a positive
+    normal float over the whole cell.
     """
 
     tx_power_w: float
@@ -81,6 +82,18 @@ class VlcLinkParams:
                 f"got {self.cell_radius_m!r}"
             )
         _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
+        try:
+            t_min, t_max = gain_sq_support(self)
+        except (OverflowError, ZeroDivisionError):
+            t_min = t_max = math.inf
+        if not sys.float_info.min <= t_min <= t_max < math.inf:
+            raise ParameterError(
+                "the squared channel gain over the cell must stay a positive normal float; "
+                "it is set by VlcLinkParams.detector_area, VlcLinkParams.filter_gain, "
+                "VlcLinkParams.concentrator_gain, VlcLinkParams.responsivity, "
+                "VlcLinkParams.cell_radius_m, VlcLinkParams.height_m and "
+                "VlcLinkParams.semi_angle_rad"
+            )
 
 
 def _check_semi_angle(angle: float, name: str) -> None:
@@ -103,23 +116,23 @@ def front_end_q(p: VlcLinkParams) -> float:
     )
 
 
+def _gain_law(p: VlcLinkParams) -> tuple[float, float]:
+    """(m, A) of the gain law h = A / (r_k^2 + L^2)**((m+3)/2), A = Q*(m+1)*L**(m+1)."""
+    m = lambertian_order(p.semi_angle_rad)
+    return m, front_end_q(p) * (m + 1.0) * p.height_m ** (m + 1.0)
+
+
 def channel_gain(r_k, p: VlcLinkParams):
     """LOS channel gain for a user at horizontal distance r_k from the nadir.
 
     h = Q * (m+1) * L**(m+1) / (r_k^2 + L^2)**((m+3)/2), strictly decreasing
     in r_k.  Accepts a scalar or an ndarray of distances.
     """
-    m = lambertian_order(p.semi_angle_rad)
-    q = front_end_q(p)
+    m, amplitude = _gain_law(p)
     radii = np.asarray(r_k, dtype=float)
     if np.any(radii < 0.0) or np.any(radii > p.cell_radius_m):
         raise ParameterError("r_k must lie in [0, cell_radius_m]")
-    gain = (
-        q
-        * (m + 1.0)
-        * p.height_m ** (m + 1.0)
-        * (radii * radii + p.height_m * p.height_m) ** (-(m + 3.0) / 2.0)
-    )
+    gain = amplitude * (radii * radii + p.height_m * p.height_m) ** (-(m + 3.0) / 2.0)
     if np.ndim(r_k) == 0:
         return float(gain)
     return gain
@@ -127,18 +140,21 @@ def channel_gain(r_k, p: VlcLinkParams):
 
 def gain_sq_support(p: VlcLinkParams) -> tuple[float, float]:
     """Support [t_min, t_max] of the squared channel gain over the cell."""
-    g_max = channel_gain(0.0, p)
-    g_min = channel_gain(p.cell_radius_m, p)
-    return g_min * g_min, g_max * g_max
+    return _shape(p)[2:]
 
 
 def _shape(p: VlcLinkParams) -> tuple[float, float, float, float]:
-    """(m, C, t_min, t_max) with C the power-law constant of the gain CDF."""
-    m = lambertian_order(p.semi_angle_rad)
-    amplitude = front_end_q(p) * (m + 1.0) * p.height_m ** (m + 1.0)
-    c_const = amplitude ** (2.0 / (m + 3.0))
-    t_min, t_max = gain_sq_support(p)
-    return m, c_const, t_min, t_max
+    """(m, C, t_min, t_max) with C the power-law constant of the gain CDF.
+
+    t_min and t_max are the squared gains at the cell edge and at the nadir,
+    by ``channel_gain``'s arithmetic in Python floats.
+    """
+    m, amplitude = _gain_law(p)
+    height_sq = p.height_m * p.height_m
+    exponent = -(m + 3.0) / 2.0
+    g_min = amplitude * (p.cell_radius_m * p.cell_radius_m + height_sq) ** exponent
+    g_max = amplitude * height_sq ** exponent
+    return m, amplitude ** (2.0 / (m + 3.0)), g_min * g_min, g_max * g_max
 
 
 def gain_sq_pdf(x, p: VlcLinkParams):

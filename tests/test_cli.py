@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import plcvlc
-from plcvlc import cli, plc_link
+from plcvlc import cli, plc_link, relay
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import McConfig
@@ -253,6 +253,20 @@ def test_validate_at_narrow_beam_and_wide_cell(tmp_path, capsys):
     assert math.isfinite(float(row[0].split()[1]))
 
 
+def test_validate_at_huge_fading_spread(tmp_path, capsys):
+    # The end-to-end mean used to overflow exponentiating splits below the cell edge.
+    path = tmp_path / "spread.cfg"
+    path.write_text("fading_sigma_db = 1e4\n")
+    system, _ = load_config(path)
+    assert math.isfinite(relay.e2e_avg_capacity_numeric(system))
+    cli.main(["validate", "--config", str(path), *FAST])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    row = [line for line in captured.out.splitlines() if line.startswith("e2e_avg_capacity ")]
+    assert len(row) == 1
+    assert math.isfinite(float(row[0].split()[1]))
+
+
 def test_cli_import_leaves_scipy_integrate_out():
     src = str(Path(plcvlc.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -308,6 +322,21 @@ def test_invalid_config_value_is_exit_two(tmp_path, capsys):
         ("plc_median_snr_db", "4000"),
         ("cell_radius_m", "1e-300"),
         ("vlc_noise_variance", "1e-320"),
+        # Refused by a parameter class, whose message names the field of a key.
+        ("source_power_w", "-1"),
+        ("relay_power_w", "-1"),
+        ("detector_area_m2", "0"),
+        ("responsivity_a_per_w", "0"),
+        ("led_height_m", "0"),
+        ("plc_distance_m", "0"),
+        ("vlc_noise_variance", "-1"),
+        # The squared-gain support leaves the positive normal floats.
+        ("semi_angle_deg", "2"),
+        ("cell_radius_m", "1e60"),
+        ("led_height_m", "1e-300"),
+        ("detector_area_m2", "1e300"),
+        ("detector_area_m2", "1e-300"),
+        ("responsivity_a_per_w", "1e-300"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
@@ -317,6 +346,16 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert key in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key,option", [("trials", ["--trials", "10"]), ("duplex_factor", ["--duplex-factor", "2"])]
+)
+def test_bad_override_names_its_key(capsys, key, option):
+    assert cli.main(["eval", "--seed", "4", *option]) == 2
+    captured = capsys.readouterr()
+    assert f"key '{key}'" in captured.err
     assert captured.out == ""
 
 

@@ -3,9 +3,18 @@ import math
 
 import pytest
 
-from plcvlc.config import DEFAULTS, echo_lines, effective_items, load_config, parse_config_text
+from plcvlc import relay, vlc_link
+from plcvlc.config import (
+    DEFAULTS,
+    build_params,
+    echo_lines,
+    effective_items,
+    load_config,
+    parse_config_text,
+)
 from plcvlc.errors import ConfigError, ParameterError
 from plcvlc.plc_link import snr_scale
+from plcvlc.sweeps import evaluate_point
 
 
 def write_config(tmp_path, text):
@@ -155,3 +164,36 @@ def test_echo_covers_every_effective_value():
     lines = echo_lines(system, mc)
     assert all(line.startswith("# ") and " = " in line for line in lines)
     assert len(lines) == len(items)
+
+
+_HOSTILE_VALUES = (
+    -1e300, -1.0, 0.0, 1e-320, 1e-300, 1e-9, 0.5, 2.0, 89.9, 90.0, 1e6, 1e20, 1e60, 1e300,
+)
+_MC_KEYS = ("trials", "seed", "batch_size")
+
+
+def _hostile_cases():
+    for key, default in DEFAULTS.items():
+        for value in _HOSTILE_VALUES:
+            if not isinstance(default, int):
+                yield key, value
+            elif value.is_integer():
+                yield key, int(value)
+
+
+@pytest.mark.parametrize("key,value", list(_hostile_cases()))
+def test_every_key_is_named_or_evaluates_finite(key, value):
+    # Every accepted value gives finite analytic numbers; every refusal names its key.
+    try:
+        system, _ = build_params({key: value})
+    except (ConfigError, ParameterError) as err:
+        assert key in str(err)
+        return
+    if key in _MC_KEYS:
+        return
+    values = [
+        *evaluate_point(system).values(),
+        relay.e2e_avg_capacity_numeric(system),
+        vlc_link.avg_capacity_quad(system.vlc),
+    ]
+    assert all(math.isfinite(v) for v in values), values
