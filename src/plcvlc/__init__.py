@@ -7,7 +7,7 @@ a deterministic, seedable Monte Carlo engine.  The analytic functions live in
 the submodules ``plc_link``, ``vlc_link``, ``relay`` and ``sweeps``.
 """
 
-from .errors import ConfigError, NumericDomainError, ParameterError, PlcVlcError
+from .errors import ConfigError, ParameterError, PlcVlcError
 from .montecarlo import METRICS, Estimate, McConfig, estimate, estimate_many
 from .plc_link import PlcLinkParams
 from .relay import RelaySystemParams
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "NumericDomainError",
     "ParameterError",
     "PlcVlcError",
     "METRICS",

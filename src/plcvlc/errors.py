@@ -9,9 +9,5 @@ class ParameterError(PlcVlcError, ValueError):
     """A parameter or argument violates its documented domain."""
 
 
-class NumericDomainError(PlcVlcError, ArithmeticError):
-    """A numeric routine left its supported domain."""
-
-
 class ConfigError(PlcVlcError, ValueError):
     """A configuration file could not be parsed or validated."""

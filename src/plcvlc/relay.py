@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import plc_link, vlc_link
 from .errors import ParameterError
@@ -142,9 +141,16 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
     spread = 2.0 * plc.fading_sigma_db / plc_link.DB_SCALE
 
     def plc_survival(y: np.ndarray) -> np.ndarray:
-        if spread == 0.0:
-            return (y <= centre).astype(float)
-        return special.ndtr((centre - y) / spread)
+        # 0.5 * erfc((y - centre) / (spread * sqrt 2)) where that is neither 1
+        # nor 0 in double precision (it is 1 - 1e-19 nine spreads below the
+        # centre and 1e-349 forty above), else the step at the centre.  At a
+        # zero or subnormal spread it is the step everywhere, with no quotient
+        # to overflow.
+        survival = (y <= centre).astype(float)
+        normal = (y > centre - _NORMAL_TAIL * spread) & (y < centre + 40.0 * spread)
+        args = ((y[normal] - centre) / (spread * math.sqrt(2.0))).tolist()
+        survival[normal] = 0.5 * np.fromiter(map(math.erfc, args), float, len(args))
+        return survival
 
     # [0, edge], where the VLC hop always survives, in y.
     tail = _NORMAL_TAIL * spread
@@ -152,7 +158,7 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
     y_high = min(y_edge, centre + tail)
     y_low = min(y_edge, centre) - _LOGISTIC_TAIL
     y, w = gauss_legendre_panels(y_low, y_high, order, (centre - tail, centre))
-    total = float(w @ (plc_survival(y) * special.expit(y))) / _LN2
+    total = float(w @ (plc_survival(y) * _expit(y))) / _LN2
 
     u_low, u_high = t_max ** -beta, t_min ** -beta
     log_rho = math.log(rho)
@@ -167,6 +173,15 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
         u, w = gauss_legendre_panels(u_start, u_high, order, splits, grading=vlc_link.U_GRADING)
         y = log_rho - np.log(u) / beta
         keep_vlc = (u - u_low) / (u_high - u_low)
-        dt_du = special.expit(y) / (beta * u * _LN2)
+        dt_du = _expit(y) / (beta * u * _LN2)
         total += float(w @ (plc_survival(y) * keep_vlc * dt_du))
     return total
+
+
+def _expit(y: np.ndarray) -> np.ndarray:
+    """The logistic function 1/(1 + exp(-y)).
+
+    -y is capped at 709, below exp's overflow; where that acts, the value is
+    1.2e-308 instead of less, which no sum here can see.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-y, 709.0)))

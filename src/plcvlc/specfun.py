@@ -1,9 +1,10 @@
 """Special-function kernel: Gauss quadrature rules, normal CDF, Gauss hypergeometric.
 
-The numerics come from NumPy (``numpy.polynomial.hermite.hermgauss``,
-``numpy.polynomial.legendre.leggauss``) and SciPy (``scipy.special.hyp2f1``);
-this module adds argument checking, a cached read-only rule per order, and
-errors that name the offending arguments.
+The quadrature rules come from NumPy (``numpy.polynomial.hermite.hermgauss``,
+``numpy.polynomial.legendre.leggauss``), cached read-only per order; the
+normal CDF is ``math.erfc``; the one 2F1 family the VLC closed form needs,
+2F1(1, b; b+1; z) on -1 <= z <= 0, is a native series.  Errors name the
+offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -18,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
-from .errors import NumericDomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = ["MAX_QUADRATURE_ORDER", "QuadratureRule", "gauss_hermite", "gauss_legendre_panels",
            "std_normal_cdf", "hyp2f1"]
@@ -116,27 +116,32 @@ def std_normal_cdf(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric function 2F1 for real arguments with z < 1
+# Gauss hypergeometric function 2F1(1, b; b+1; z) on -1 <= z <= 0
 # ---------------------------------------------------------------------------
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
+    """Gauss hypergeometric function 2F1(a, b; c; z) for a = 1, c = b + 1 > 0, -1 <= z <= 0.
 
-    Wraps ``scipy.special.hyp2f1``.  The arguments must be finite, c must not
-    be a nonpositive integer, and z must be below 1 (ParameterError
-    otherwise); a non-finite library result raises NumericDomainError naming
-    all four arguments.
+    This is the family the VLC closed form needs.  The Pfaff transformation
+    (DLMF 15.8.1) gives 2F1(1, b; b+1; z) = (1-z)**-1 * sum_n n!/(b+1)_n * w**n
+    with w = z/(z-1) in [0, 1/2]: positive terms whose ratio
+    (n+1)/(b+1+n) * w falls toward w, so the sum reaches double precision in
+    at most about 55 terms.  Any other a, b, c or z raises ParameterError
+    naming the argument.
     """
-    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(value):
-            raise ParameterError(f"hyp2f1 argument {name} must be finite, got {value!r}")
-    if c <= 0.0 and c == math.floor(c):
-        raise ParameterError(f"hyp2f1 parameter c must not be a nonpositive integer, got {c}")
-    if z >= 1.0:
-        raise ParameterError(f"hyp2f1 argument z must satisfy z < 1, got {z}")
-    value = float(special.hyp2f1(a, b, c, z))
-    if not math.isfinite(value):
-        raise NumericDomainError(
-            f"hyp2f1 evaluated to {value!r} for a={a}, b={b}, c={c}, z={z}"
-        )
-    return value
+    if a != 1.0:
+        raise ParameterError(f"hyp2f1 argument a must be 1, got {a!r}")
+    if not math.isfinite(b):
+        raise ParameterError(f"hyp2f1 argument b must be finite, got {b!r}")
+    if not (c == b + 1.0 and c > 0.0):
+        raise ParameterError(f"hyp2f1 argument c must equal b + 1 > 0, got c={c!r} for b={b!r}")
+    if not -1.0 <= z <= 0.0:
+        raise ParameterError(f"hyp2f1 argument z must lie in [-1, 0], got {z!r}")
+    w = z / (z - 1.0)
+    total = term = 1.0
+    n = 0.0
+    while term > 1e-17 * total:
+        term *= (n + 1.0) / (c + n) * w
+        total += term
+        n += 1.0
+    return total / (1.0 - z)

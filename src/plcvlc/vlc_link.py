@@ -38,9 +38,6 @@ _QUAD_ORDER = 32
 # u = t**(-1/(m+3)) has a branch point at 0 (it is proportional to r^2 + L^2),
 # so rules in u cut at u_low * U_GRADING**k.
 U_GRADING = 4.0
-# Below this t*rho, 2F1(1, -beta; 1-beta; -t*rho) - 1 in avg_capacity_closed
-# loses more than about 1e-12 relative to cancellation.
-_SMALL_Z = 1e-3
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,21 @@ def gain_sq_cdf(x, p: VlcLinkParams):
     r_sq = p.cell_radius_m ** 2
     offset = 1.0 + p.height_m ** 2 / r_sq
     expo = -1.0 / (m + 3.0)
+    # isinstance first: np.ndim of a float costs more than the scalar path.
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if x <= t_min:
+            return 0.0
+        if x >= t_max:
+            return 1.0
+        # NumPy's power, not math's: the two differ in the last bit for a few
+        # percent of arguments, and the array path below sets the bits.
+        return min(max(offset - (c_const / r_sq) * float(np.power(x, expo)), 0.0), 1.0)
     values = np.asarray(x, dtype=float)
     inside = (values > t_min) & (values < t_max)
     safe = np.where(inside, values, t_min)
     body = np.clip(offset - (c_const / r_sq) * safe ** expo, 0.0, 1.0)
-    prob = np.where(values <= t_min, 0.0, np.where(values >= t_max, 1.0, body))
-    if np.ndim(x) == 0:
-        return float(prob)
-    return prob
+    return np.where(values <= t_min, 0.0, np.where(values >= t_max, 1.0, body))
 
 
 def avg_capacity_quad(p: VlcLinkParams) -> float:
@@ -225,10 +229,15 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     """Average spectral efficiency in closed form via the 2F1 function.
 
     Equals ``avg_capacity_quad`` to within 1e-8 relative; the two routes act
-    as mutual oracles.  Where z = t*rho < ``_SMALL_Z`` the antiderivative
-    takes (m+3)*(2F1(1, -beta; 1-beta; -z) - 1) as
-    z/(1-beta) * 2F1(1, 1-beta; 2-beta; -z), which does not cancel, so the
-    mean stays accurate (and positive) as the transmit SNR vanishes.
+    as mutual oracles.  With z = rho*t and beta = 1/(m+3) the antiderivative
+    is t**-beta * ((F - 1)/beta - log1p(z)), F = 2F1(1, -beta; 1-beta; -z).
+    Up to z = 1, (F - 1)/beta = z/(1-beta) * 2F1(1, 1-beta; 2-beta; -z),
+    which does not cancel as the transmit SNR vanishes.  Above, the 1/z
+    connection (DLMF 15.8.2) gives pi/sin(pi*beta) * z**beta - 1/beta +
+    2F1(1, 1+beta; 2+beta; -1/z)/((1+beta)*z); times t**-beta its first term
+    is pi/sin(pi*beta) * rho**beta at every t, so it is left out at both ends
+    and added once when only t_max lies above z = 1.  Kept at both ends, it
+    cancelled all digits at a high transmit SNR.
     """
     m, c_const, t_min, t_max = _shape(p)
     rho = p.tx_power_w / p.noise_variance
@@ -236,15 +245,19 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
     def antiderivative(t: float) -> float:
         z = t * rho
-        if z < _SMALL_Z:
+        if z <= 1.0:
             # 2F1(1, b; c; x) - 1 = (b/c) * x * 2F1(1, b+1; c+1; x), with (m+3)*beta = 1.
-            excess = z / (1.0 - beta) * hyp2f1(1.0, 1.0 - beta, 2.0 - beta, -z)
+            b = 1.0 - beta
+            excess = z / b * hyp2f1(1.0, b, b + 1.0, -z)
         else:
-            excess = (m + 3.0) * (hyp2f1(1.0, -beta, 1.0 - beta, -z) - 1.0)
+            b = 1.0 + beta
+            excess = hyp2f1(1.0, b, b + 1.0, -1.0 / z) / (b * z) - 1.0 / beta
         return t ** (-beta) * (excess - math.log1p(z))
 
-    scale = c_const / (p.cell_radius_m ** 2 * math.log(2.0))
-    return scale * (antiderivative(t_max) - antiderivative(t_min))
+    total = antiderivative(t_max) - antiderivative(t_min)
+    if t_min * rho <= 1.0 < t_max * rho:
+        total += math.pi / math.sin(math.pi * beta) * rho ** beta
+    return c_const / (p.cell_radius_m ** 2 * math.log(2.0)) * total
 
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:

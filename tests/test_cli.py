@@ -268,15 +268,35 @@ def test_validate_at_huge_fading_spread(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
+    # No scipy module at all, after the import and after a full validate run.
     src = str(Path(plcvlc.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, plcvlc.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+    script = (
+        "import sys, plcvlc.cli\n"
+        "from plcvlc.montecarlo import MIN_TRIALS\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "code = plcvlc.cli.main(['validate', '--trials', str(MIN_TRIALS)])\n"
+        "print(code, scipy_modules())\n"
     )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+def test_validate_at_high_transmit_snr(tmp_path, capsys):
+    # The closed form used to cancel here and disagree with the quadrature.
+    path = tmp_path / "bright.cfg"
+    path.write_text("relay_power_w = 1e60\n")
+    assert cli.main(["validate", "--config", str(path), *FAST]) == 0
+    row = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("vlc_capacity_closed_vs_quad ")]
+    assert len(row) == 1 and row[0].split()[-1] == "agree"
 
 
 def test_validate_exit_one_on_disagreement(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -193,6 +194,18 @@ def test_numeric_mean_capacity_degenerate_system(default_system):
     c_vlc = math.log2(1.0 + vlc.tx_power_w / vlc.noise_variance * gain_sq_support(vlc)[1])
     expected = s.duplex_factor * min(c_plc, c_vlc)
     assert e2e_avg_capacity_numeric(s) == pytest.approx(expected, rel=1e-9)
+
+
+def test_numeric_mean_capacity_at_subnormal_spread_is_the_step(default_system):
+    # (centre - y) / spread used to overflow here, with a RuntimeWarning.
+    def with_spread(sigma_db):
+        plc = dataclasses.replace(default_system.plc, fading_sigma_db=sigma_db)
+        return dataclasses.replace(default_system, plc=plc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        subnormal = e2e_avg_capacity_numeric(with_spread(1e-320))
+    assert subnormal == e2e_avg_capacity_numeric(with_spread(0.0))
 
 
 def test_numeric_mean_capacity_error_estimate(default_system):

@@ -292,6 +292,22 @@ def test_cdf_monotone_and_matches_pdf_derivative():
     assert np.max(np.abs(derivative - pdf) / pdf) < 1e-6
 
 
+@pytest.mark.parametrize("semi_angle_deg", [20.0, 60.0, 80.0])
+def test_cdf_scalar_path_equals_array_path(semi_angle_deg):
+    # The scalar path (every vlc_link.outage call) must keep the array path's bits.
+    p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
+    t_min, t_max = gain_sq_support(p)
+    xs = np.concatenate([
+        np.exp(np.random.default_rng(5).uniform(math.log(t_min), math.log(t_max), 5000)),
+        [0.0, t_min, np.nextafter(t_min, math.inf), np.nextafter(t_max, 0.0), t_max, 2.0 * t_max],
+    ])
+    array = gain_sq_cdf(xs, p)
+    scalars = [gain_sq_cdf(x, p) for x in xs.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == array.tolist()
+    assert [gain_sq_cdf(x, p) for x in xs[:10]] == array[:10].tolist()
+
+
 def test_cdf_matches_empirical_cdf():
     p = make_params()
     rng = np.random.default_rng(55)
@@ -343,6 +359,46 @@ def test_closed_equals_quadrature_at_default_point():
 def test_closed_equals_quadrature_at_vanishing_snr(power):
     p = make_params(tx_power_w=power)
     assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8)
+
+
+# With pi/sin(pi*beta) * rho**beta kept in the antiderivative at both ends,
+# the closed form cancelled: validate exited 1 at 1e60 (203.56865 against
+# 203.53006), eval printed 37205135613.08 at 1e100 and 0.0 at 1e300.
+@pytest.mark.parametrize("power", [1e20, 1e40, 1e60, 1e100, 1e300])
+def test_closed_equals_quadrature_at_high_snr(power):
+    p = make_params(tx_power_w=power)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-12)
+
+
+def closed_form_reference(p):
+    """30-digit antiderivative difference with mpmath's 2F1 over the program's support.
+
+    With z = rho*t, beta = 1/(m+3) and F = 2F1(1, -beta; 1-beta; -z), the
+    antiderivative of log(1 + z) * beta * t**(-beta-1) is
+    t**-beta * ((F - 1)/beta - log1p(z)), and the density's mass is
+    t_min**-beta - t_max**-beta.
+    """
+    t_min, t_max = gain_sq_support(p)
+    with mp.workdps(30):
+        rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
+        beta = 1 / (mp.mpf(lambertian_order(p.semi_angle_rad)) + 3)
+
+        def antiderivative(t):
+            t = mp.mpf(t)
+            f = mp.hyp2f1(1, -beta, 1 - beta, -rho * t)
+            return t ** -beta * ((f - 1) / beta - mp.log1p(rho * t))
+
+        mass = mp.mpf(t_min) ** -beta - mp.mpf(t_max) ** -beta
+        return float((antiderivative(t_max) - antiderivative(t_min)) / (mass * mp.log(2)))
+
+
+# rho*t stays below 1 over the cell at 1e-13 W and 1e-4 W, crosses 1 inside
+# it at 0.1 W and 1e3 W, and stays above 1 at 1e20 W.
+@pytest.mark.parametrize("semi_angle_deg", [20.0, 60.0])
+@pytest.mark.parametrize("power", [1e-13, 1e-4, 0.1, 1e3, 1e20])
+def test_closed_matches_mpmath_on_each_side_of_the_knee(power, semi_angle_deg):
+    p = make_params(tx_power_w=power, semi_angle_rad=math.radians(semi_angle_deg))
+    assert avg_capacity_closed(p) == pytest.approx(closed_form_reference(p), rel=1e-13)
 
 
 # The rule's variable u = t**(-1/(m+3)) spans a factor 1 + (radius/height)**2.
