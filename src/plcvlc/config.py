@@ -175,10 +175,10 @@ def _with_key(match: re.Match) -> str:
 def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McConfig]:
     """Build the parameter objects from a fully merged key/value mapping.
 
-    Besides the parameter classes' own checks, every converted value and the
-    linear fading median, derived PLC noise variance, PLC SNR scale and VLC
-    transmit SNR must be positive normal floats; otherwise an error names
-    the keys.
+    Besides the parameter classes' own checks (the PLC SNR scale and the VLC
+    transmit SNR among them), every converted value, the linear fading
+    median and the derived PLC noise variance, with the SNR scale it gives,
+    must be positive normal floats; otherwise an error names the keys.
     """
     cfg = {**DEFAULTS, **values}
 
@@ -187,24 +187,22 @@ def build_params(values: dict[str, float | int]) -> tuple[RelaySystemParams, McC
     plc = _construct(
         PlcLinkParams, cfg, values, noise_variance=1.0 if pinned_noise is None else pinned_noise
     )
-    scale_keys = _PLC_SCALE_KEYS + ("plc_noise_variance",)
     if pinned_noise is None:
         # Pin the median relay SNR: a * 10**(mu/5) = 10**(snr_db/10).  With a
         # unit noise variance snr_scale(plc) is P_s * exp(-2*alpha*d) exactly.
+        # The SNR scale this noise gives is PlcLinkParams's check, made here so
+        # that a refusal names the keys that pin it.
         scale_keys = _PLC_SCALE_KEYS + ("fading_mu_db", "plc_median_snr_db")
         snr_linear = _converted("plc_median_snr_db", _db_to_linear, cfg, values)
+        unit_scale = plc_link.snr_scale(plc)
         noise = _positive_normal(
             "the derived PLC noise variance",
-            lambda: plc_link.snr_scale(plc) * mu_linear / snr_linear, values, scale_keys,
+            lambda: unit_scale * mu_linear / snr_linear, values, scale_keys,
         )
+        _positive_normal("the PLC SNR scale", lambda: unit_scale / noise, values, scale_keys)
         plc = dataclasses.replace(plc, noise_variance=noise)
-    _positive_normal("the PLC SNR scale", lambda: plc_link.snr_scale(plc), values, scale_keys)
 
     vlc = _construct(VlcLinkParams, cfg, values)
-    _positive_normal(
-        "the VLC transmit SNR", lambda: vlc.tx_power_w / vlc.noise_variance, values,
-        ("relay_power_w", "vlc_noise_variance"),
-    )
     system = _construct(RelaySystemParams, cfg, values, plc=plc, vlc=vlc)
     return system, _construct(McConfig, cfg, values)
 

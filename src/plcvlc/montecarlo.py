@@ -1,24 +1,26 @@
 """Sampling oracle for every analytic link metric.
 
+Every request reduces one path SNR per trial: a hop's own SNR or, end to end,
+min(SNR_plc, SNR_vlc), since the decode-and-forward relay forwards only what
+both hops carry.  A capacity is the mean of level * log2(1 + snr), an outage
+the share of trials with snr below the SNR threshold.
+
 Determinism contract: every reported Estimate is a pure function of
 (seed, trials, batch_size, parameters, metric), whichever other requests
-share its sampling pass.  Trials are split into batches; batch b draws from
-its own counter-based Philox stream keyed by (seed, b) through a NumPy
-SeedSequence spawn key, so the draws for a trial depend only on the seed and
-the trial's position.  Each metric reads fixed positions of that stream: PLC
-and end-to-end metrics the normals drawn first, end-to-end metrics the
-uniforms drawn after them, VLC-only metrics the uniforms at the start of the
-stream.  One pass (``estimate_many``) therefore draws a batch once and serves
-every (metric, system) request from it without changing a bit.  Batch partial
-sums are combined with math.fsum, which is exactly rounded and therefore
-independent of combination order - running with one worker thread or many
-produces bit-identical estimates.
+share its sampling pass.  Batch b draws from its own counter-based Philox
+stream keyed by (seed, b) through a NumPy SeedSequence spawn key, and each
+metric reads fixed positions of it: PLC and end-to-end metrics the normals
+drawn first, end-to-end metrics the uniforms drawn after them, VLC-only
+metrics the uniforms at the start of the stream.  One pass
+(``estimate_many``) therefore draws a batch once and serves every request
+from it without changing a bit.  Batch partial sums are combined with
+math.fsum, which is exactly rounded, so one worker thread or many give
+bit-identical estimates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +53,9 @@ METRICS = (
 )
 
 MIN_TRIALS = 1_000
+# The one-pass sum of squared deviations, total_sq - total**2 / n, carries a
+# rounding error of up to about this share of total_sq (128 ulps).
+_RESOLVED = 2.0 ** -45
 
 
 @dataclass(frozen=True)
@@ -105,29 +110,31 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
-    """(kind, PLC transform, VLC transform, level) of one request.
+    """(kind, path, level) of one request.
 
-    A transform is (stream, hop params); the stream names the draws it maps:
-    "plc" the normals drawn first, "e2e" the uniforms drawn after them, "vlc"
-    the uniforms at the start of the batch stream.  The level is the SNR
-    threshold of an outage, the duplex factor of an end-to-end capacity, else
-    None.  Requests with equal keys have equal estimates.
+    The path holds the hop transforms whose smallest SNR the request reads:
+    (plc,), (vlc,) or (plc, e2e).  A transform is (stream, hop params); the
+    stream names the draws it maps: "plc" the normals drawn first, "e2e" the
+    uniforms drawn after them, "vlc" the uniforms at the start of the batch
+    stream.  The level is an outage's SNR threshold, else a capacity's factor:
+    the duplex factor end to end, 1.0 for a hop.  Equal keys, equal estimates.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    threshold = rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
     hop, kind = metric.split("_", 1)
-    plc = ("plc", system.plc) if hop != "vlc" else None
-    vlc = (hop, system.vlc) if hop != "plc" else None
-    if kind == "outage":
-        level = threshold
+    if hop == "e2e":
+        path = (("plc", system.plc), ("e2e", system.vlc))
     else:
-        level = system.duplex_factor if hop == "e2e" else None
-    return kind, plc, vlc, level
+        path = ((hop, getattr(system, hop)),)
+    if kind == "outage":
+        level = rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
+    else:
+        level = system.duplex_factor if hop == "e2e" else 1.0
+    return kind, path, level
 
 
 def _batch_partials(
-    keys: list[tuple], cfg: McConfig, batch_index: int
+    keys: list[tuple], last: dict, cfg: McConfig, batch_index: int
 ) -> list[tuple[float, float, float, float]]:
     """(sum, sum of squares, min, max) of every reduction key over one batch."""
     start = batch_index * cfg.batch_size
@@ -136,7 +143,7 @@ def _batch_partials(
 
     def draw(stream: str) -> np.ndarray:
         # Fixed positions: the normals first and the e2e uniforms after them
-        # (an e2e key reads its PLC hop first), the vlc-only uniforms from the
+        # (an e2e path reads its PLC hop first), the vlc-only uniforms from the
         # start of the stream, through a second generator with the same key.
         if stream == "plc":
             return rng.standard_normal(count)
@@ -144,47 +151,34 @@ def _batch_partials(
             return rng.random(count)
         return _batch_rng(int(cfg.seed), batch_index).random(count)
 
-    # Keys still to reduce per transform, and transforms still to compute per
-    # stream: each array is dropped as soon as nothing further reads it.
-    users = Counter(t for key in keys for t in key[1:3] if t is not None)
-    pending = Counter(stream for stream, _ in users)
-    draws: dict[str, np.ndarray] = {}
-    snr: dict[tuple, np.ndarray] = {}
+    # Draws by stream, SNRs by transform and by path, each dropped once the
+    # last key that reads it has built its path (``snr`` holds that path).
+    live: dict[object, np.ndarray] = {}
     partials = []
-    for kind, plc, vlc, level in keys:
-        hops = [t for t in (plc, vlc) if t is not None]
-        for t in hops:
-            if t not in snr:
-                stream, params = t
-                if stream not in draws:
-                    draws[stream] = draw(stream)
-                sampler = sample_plc_snr if stream == "plc" else sample_vlc_snr
-                snr[t] = sampler(params, draws[stream])
-                pending[stream] -= 1
-                if not pending[stream]:
-                    del draws[stream]
+    for i, (kind, path, level) in enumerate(keys):
+        if path not in live:
+            for transform in path:
+                if transform not in live:
+                    stream, params = transform
+                    if stream not in live:
+                        live[stream] = draw(stream)
+                    sampler = sample_plc_snr if stream == "plc" else sample_vlc_snr
+                    live[transform] = sampler(params, live[stream])
+            live[path] = live[path[0]] if len(path) == 1 else np.minimum(*map(live.get, path))
+        snr = live[path]
+        for name in [name for name in live if last[name] == i]:
+            del live[name]
         if kind == "avg_capacity":
-            if level is None:
-                values = np.log2(1.0 + snr[hops[0]])
-            else:
-                values = level * np.minimum(np.log2(1.0 + snr[plc]), np.log2(1.0 + snr[vlc]))
-            partials.append((
-                float(np.sum(values)),
-                float(np.sum(values * values)),
-                float(values.min()),
-                float(values.max()),
-            ))
+            # min does not round, 1 + x rounds monotonically and log2 is
+            # monotone: these are the bits of level * min of the hop capacities.
+            values = level * np.log2(1.0 + snr)
+            partials.append((float(np.sum(values)), float(np.sum(values * values)),
+                             float(values.min()), float(values.max())))
         else:
-            below = snr[hops[0]] < level
-            if len(hops) == 2:
-                below |= snr[vlc] < level
-            # Sums of 0/1 indicators are exact, so a count has the same bits.
-            hits = int(np.count_nonzero(below))
+            # No sampler returns NaN, so the path is below the threshold iff a
+            # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
+            hits = int(np.count_nonzero(snr < level))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0)))
-        for t in hops:
-            users[t] -= 1
-            if not users[t]:
-                del snr[t]
     return partials
 
 
@@ -193,18 +187,17 @@ def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -
     total_sq = math.fsum(p[1] for p in partials)
     low = min(p[2] for p in partials)
     high = max(p[3] for p in partials)
-    trials = cfg.trials
+    trials, seed = cfg.trials, int(cfg.seed)
     if low == high:
         # Degenerate sample: the mean is the common value, with no spread.
-        return Estimate(mean=low, std_error=0.0, trials=trials, seed=int(cfg.seed))
-    mean = total / trials
-    variance = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-    return Estimate(
-        mean=mean,
-        std_error=math.sqrt(variance / trials),
-        trials=trials,
-        seed=int(cfg.seed),
-    )
+        return Estimate(mean=low, std_error=0.0, trials=trials, seed=seed)
+    squares = total_sq - total * total / trials
+    if squares < _RESOLVED * total_sq:
+        # The sum of squared deviations is lost in rounding (a narrow cell);
+        # report Popoviciu's bound on it, n * (high - low)**2 / 4, instead.
+        squares = trials * (high - low) ** 2 / 4.0
+    std_error = math.sqrt(squares / (trials - 1) / trials)
+    return Estimate(mean=total / trials, std_error=std_error, trials=trials, seed=seed)
 
 
 def estimate_many(
@@ -214,26 +207,36 @@ def estimate_many(
 ) -> list[Estimate]:
     """Monte Carlo estimates of (metric, system) requests from one sampling pass.
 
-    Every batch is drawn once.  Each distinct hop transform, capacity array
-    and reduction in it is computed once and serves every request that needs
-    it, so each estimate equals the standalone ``estimate`` of its request
-    bit for bit.  Batches run on up to ``workers`` threads, never more
-    threads than batches.
+    Every batch is drawn once.  Each distinct hop transform and path SNR in it
+    is computed once and serves every request that reads it, so each estimate
+    equals the standalone ``estimate`` of its request bit for bit.  Batches
+    run on up to ``workers`` threads, never more threads than batches.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
-    # Group keys by VLC, then PLC transform, so a batch holds few at a time.
+    # Group keys by the path's last hop, then its first, so a batch holds few
+    # arrays at a time.
     first_use: dict[object, int] = {}
-    for _, plc, vlc, _ in slots:
-        first_use.setdefault(vlc, len(first_use))
-        first_use.setdefault(plc, len(first_use))
-    keys = sorted(dict.fromkeys(slots), key=lambda k: (first_use[k[2]], first_use[k[1]]))
+    for _, path, _ in slots:
+        first_use.setdefault(path[-1], len(first_use))
+        first_use.setdefault(path[0], len(first_use))
+    keys = sorted(dict.fromkeys(slots), key=lambda k: (first_use[k[1][-1]], first_use[k[1][0]]))
+    # The key after which each path SNR, transform and stream of draws is read
+    # no more: a path is read by its keys, a transform where a path holding it
+    # is built, a stream where one of its transforms is computed.
+    last: dict[object, int] = {}
+    for i, (_, path, _) in enumerate(keys):
+        for transform in () if path in last else path:
+            if transform not in last:
+                last[transform[0]] = i
+            last[transform] = i
+        last[path] = i
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
     def run(batch_index: int) -> list[tuple[float, float, float, float]]:
-        return _batch_partials(keys, cfg, batch_index)
+        return _batch_partials(keys, last, cfg, batch_index)
 
     if pool_size == 1:
         partials = [run(b) for b in range(n_batches)]
@@ -253,10 +256,5 @@ def estimate(
     cfg: McConfig,
     workers: int = 1,
 ) -> Estimate:
-    """Monte Carlo mean and standard error of one metric: a one-request pass.
-
-    End-to-end metrics draw both hops independently in every trial and apply
-    the decode-and-forward composition per draw; outage metrics are indicator
-    means against the SNR threshold implied by the system's rate target.
-    """
+    """Monte Carlo mean and standard error of one metric: a one-request pass."""
     return estimate_many([(metric, system)], cfg, workers)[0]

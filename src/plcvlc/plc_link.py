@@ -16,6 +16,7 @@ expectation, whichever the rule converges on faster (see its docstring).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ _SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 1) for k in range(8, 0, -1
 
 @dataclass(frozen=True)
 class PlcLinkParams:
-    """Cable, power, noise and fading parameters of the power-line hop."""
+    """Cable, power, noise and fading parameters of the power-line hop.
+
+    The SNR scale ``snr_scale`` must be a positive normal float.
+    """
 
     frequency_hz: float
     atten_k: float
@@ -67,6 +71,18 @@ class PlcLinkParams:
         if not 1 <= order <= MAX_QUADRATURE_ORDER:
             raise ParameterError(
                 f"PlcLinkParams.quadrature_order must be in [1, {MAX_QUADRATURE_ORDER}]"
+            )
+        try:
+            scale = snr_scale(self)
+        except OverflowError:  # from frequency_hz ** atten_k
+            scale = math.inf
+        if not sys.float_info.min <= scale < math.inf:
+            raise ParameterError(
+                f"the PLC SNR scale P_s * exp(-2*alpha*d) / sigma_r^2 = {scale!r} is not a "
+                "positive normal float; it is set by PlcLinkParams.tx_power_w, "
+                "PlcLinkParams.noise_variance, PlcLinkParams.distance_m, "
+                "PlcLinkParams.frequency_hz, PlcLinkParams.atten_k, PlcLinkParams.atten_a0 "
+                "and PlcLinkParams.atten_a1"
             )
 
 

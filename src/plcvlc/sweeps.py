@@ -70,16 +70,21 @@ class SweepSpec:
                 f"expected one of {sorted(SWEEPABLE_VARIABLES)}"
             )
         if not self.start < self.stop:
-            raise ParameterError("SweepSpec.start must be strictly below stop")
+            raise ParameterError(
+                f"sweep of {self.variable!r}: start {self.start!r} must be strictly below "
+                f"stop {self.stop!r}"
+            )
         if self.steps < 2:
-            raise ParameterError("SweepSpec.steps must be at least 2")
+            raise ParameterError(f"sweep of {self.variable!r}: steps must be at least 2")
         if self.family_variable is not None:
             if self.family_variable not in SWEEPABLE_VARIABLES:
                 raise ParameterError(f"unknown family variable {self.family_variable!r}")
             if self.family_variable == self.variable:
-                raise ParameterError("family variable must differ from the swept variable")
+                raise ParameterError(
+                    f"family variable {self.family_variable!r} must differ from the swept variable"
+                )
             if not self.family_values:
-                raise ParameterError("family_values must be nonempty when a family is given")
+                raise ParameterError(f"family variable {self.family_variable!r} has no values")
         elif self.family_values:
             raise ParameterError("family_values given without a family_variable")
 
@@ -139,13 +144,19 @@ FIGURE_PRESETS: dict[int, SweepSpec] = {
 
 
 def with_variable(system: RelaySystemParams, name: str, value: float) -> RelaySystemParams:
-    """A copy of the system with one sweepable variable replaced."""
+    """A copy of the system with one sweepable variable replaced.
+
+    A refusal by a parameter class is raised again, prefixed with the
+    variable and its value.
+    """
     hop, field = SWEEPABLE_VARIABLES[name]
-    if hop is None:
-        return dataclasses.replace(system, **{field: value})
-    if hop == "plc":
-        return dataclasses.replace(system, plc=dataclasses.replace(system.plc, **{field: value}))
-    return dataclasses.replace(system, vlc=dataclasses.replace(system.vlc, **{field: value}))
+    try:
+        if hop is None:
+            return dataclasses.replace(system, **{field: value})
+        hop_params = dataclasses.replace(getattr(system, hop), **{field: value})
+        return dataclasses.replace(system, **{hop: hop_params})
+    except ParameterError as exc:
+        raise ParameterError(f"sweep variable {name!r} = {value!r}: {exc}") from exc
 
 
 def evaluate_point(system: RelaySystemParams) -> dict[str, float]:

@@ -357,6 +357,15 @@ def test_invalid_config_value_is_exit_two(tmp_path, capsys):
         ("detector_area_m2", "1e300"),
         ("detector_area_m2", "1e-300"),
         ("responsivity_a_per_w", "1e-300"),
+        # The transmit SNR and the PLC SNR scale, refused by the parameter classes.
+        ("relay_power_w", "1e308"),
+        pytest.param(
+            "source_power_w", "1e308\nplc_noise_variance = 1e-10", id="source_power_w-1e308"
+        ),
+        # The SNR scale the derived noise gives is subnormal.
+        pytest.param(
+            "plc_median_snr_db", "-1\nfading_mu_db = 1540", id="plc_median_snr_db-scale"
+        ),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
@@ -367,6 +376,45 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
     assert key in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# The first two used to get past every check: the first wrote nan and exited 0,
+# the second ended in a "math domain error" traceback.
+@pytest.mark.parametrize(
+    "variable,args",
+    [
+        ("relay_power", ["--from", "1e300", "--to", "1e308"]),
+        ("plc_distance", ["--from", "10", "--to", "300000"]),
+        ("led_height", ["--from", "1", "--to", "1e300"]),
+        ("rate_threshold", ["--from", "0", "--to", "1e4"]),
+        ("source_power", ["--from", "-1", "--to", "1"]),
+        ("relay_power", ["--from", "0.5", "--to", "0.1"]),
+        ("cell_radius", ["--var", "relay_power", "--from", "0.1", "--to", "0.2",
+                         "--family", "cell_radius=1e60"]),
+    ],
+)
+def test_bad_sweep_value_names_its_variable(capsys, variable, args):
+    if "--var" not in args:
+        args = ["--var", variable, *args]
+    assert cli.main(["sweep", *args, "--steps", "2", *FAST]) == 2
+    captured = capsys.readouterr()
+    assert f"'{variable}'" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# The VLC closed form cancelled on narrow cells (4.6e-8 off at 1e-4 m, 7.4e-4
+# at 1e-6 m), the sampled standard error came out 0 there, and the quadrature
+# missed a boundary layer at narrow beams: each of these exited 1.
+@pytest.mark.parametrize(
+    "line",
+    ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "semi_angle_deg = 3",
+     "semi_angle_deg = 4", "semi_angle_deg = 5"],
+)
+def test_validate_at_narrow_cells_and_beams(tmp_path, capsys, line):
+    path = tmp_path / "narrow.cfg"
+    path.write_text(line + "\n")
+    assert cli.main(["validate", "--config", str(path), "--trials", "100000", "--seed", "1"]) == 0
 
 
 @pytest.mark.parametrize(

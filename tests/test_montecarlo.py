@@ -236,3 +236,62 @@ def test_worker_pool_capped_at_batch_count(default_system, monkeypatch):
     threaded = estimate("e2e_outage", default_system, cfg, workers=10 ** 6)
     assert requested == [3]
     assert threaded == estimate("e2e_outage", default_system, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the decode-and-forward path SNR
+# ---------------------------------------------------------------------------
+
+def _snr_pairs():
+    """Wide log-normal SNR pairs, and runs of adjacent floats from 0 to 1e308 and inf."""
+    rng = np.random.default_rng(29)
+    a = np.exp(rng.normal(0.0, 30.0, 1 << 20))
+    b = np.exp(rng.normal(0.0, 30.0, 1 << 20))
+    starts = [0.0, 1e-320, 1e-300, *np.logspace(-200, 308, 60)]
+    runs = np.concatenate([s + np.arange(64) * np.spacing(s) for s in starts] + [[np.inf]])
+    edges = np.concatenate([runs, runs[::-1], np.full(runs.size, 1.0)])
+    return np.concatenate([a, edges]), np.concatenate([b, edges[::-1]])
+
+
+def test_path_snr_has_the_bits_of_the_hop_by_hop_reductions():
+    a, b = _snr_pairs()
+    assert not np.any(np.isnan(a) | np.isnan(b))
+    path = np.minimum(a, b)
+    for level in (0.5, 1.0, 0.25):
+        hop_by_hop = level * np.minimum(np.log2(1.0 + a), np.log2(1.0 + b))
+        assert np.array_equal(level * np.log2(1.0 + path), hop_by_hop)
+    for threshold in (0.0, 1.0, 3.0, 1e-310, 1e300, np.inf):
+        assert np.array_equal(path < threshold, (a < threshold) | (b < threshold))
+
+
+def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
+    # One batch, reduced hop by hop from the documented stream positions:
+    # the normals first, the e2e uniforms after them.
+    cfg = McConfig(trials=8192, seed=21, batch_size=8192)
+    rng = montecarlo._batch_rng(cfg.seed, 0)
+    plc = sample_plc_snr(default_system.plc, rng.standard_normal(cfg.trials))
+    vlc = sample_vlc_snr(default_system.vlc, rng.random(cfg.trials))
+    capacity = default_system.duplex_factor * np.minimum(np.log2(1.0 + plc), np.log2(1.0 + vlc))
+    threshold = relay.rate_to_snr_threshold(
+        default_system.rate_threshold_bits, default_system.duplex_factor
+    )
+    hits = np.count_nonzero((plc < threshold) | (vlc < threshold))
+    mean_capacity = float(np.sum(capacity)) / cfg.trials
+    assert estimate("e2e_avg_capacity", default_system, cfg).mean == mean_capacity
+    assert estimate("e2e_outage", default_system, cfg).mean == hits / cfg.trials
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1e-4, 1e-6])
+def test_unresolved_spread_reports_its_bound(default_system, radius):
+    # The capacity varies across a narrow cell by far less than the rounding
+    # of the one-pass variance, which used to come out as 0 or as noise.
+    s = dataclasses.replace(
+        default_system, vlc=dataclasses.replace(default_system.vlc, cell_radius_m=radius)
+    )
+    cfg = McConfig(trials=100_000, seed=1)
+    est = estimate("vlc_avg_capacity", s, cfg)
+    t_min, t_max = vlc_link.gain_sq_support(s.vlc)
+    rho = s.vlc.tx_power_w / s.vlc.noise_variance
+    spread = math.log2(1.0 + rho * t_max) - math.log2(1.0 + rho * t_min)
+    assert 0.0 < est.std_error <= spread / (2.0 * math.sqrt(cfg.trials - 1)) * 1.0001
+    assert abs(vlc_link.avg_capacity_closed(s.vlc) - est.mean) <= 3.0 * est.std_error

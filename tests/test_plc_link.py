@@ -61,6 +61,15 @@ def reference_noise_for_median_snr(median_snr, mu_db=0.0):
         ("fading_sigma_db", -0.5),
         ("fading_sigma_db", math.inf),
         ("atten_a0", math.nan),
+        # the SNR scale P_s * exp(-2*alpha*d) / sigma_r^2 must be a positive
+        # normal float (frequency_hz ** atten_k overflows at atten_k = 1e3)
+        ("distance_m", 3e5),
+        ("frequency_hz", 1e300),
+        ("atten_k", 1e3),
+        ("atten_a0", 1e6),
+        ("tx_power_w", 1e308),
+        ("tx_power_w", math.inf),
+        ("noise_variance", 1e-320),
     ],
 )
 def test_rejects_invalid_field(field, value):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from plcvlc.errors import ParameterError
+from plcvlc.sweeps import CLOSED_VS_QUAD_RTOL
 from plcvlc.vlc_link import (
     VlcLinkParams,
     avg_capacity_closed,
@@ -82,6 +83,12 @@ def support_closed_expressions(p):
         ("cell_radius_m", 1e-300),
         ("cell_radius_m", 1e200),
         ("height_m", 0.0),
+        # the transmit SNR tx_power_w / noise_variance must be a positive normal
+        # float; the closed form used to return nan at an inf SNR
+        ("tx_power_w", 1e308),
+        ("tx_power_w", math.inf),
+        ("noise_variance", 1e-320),
+        ("noise_variance", 1e308),
     ],
 )
 def test_rejects_invalid_field(field, value):
@@ -424,6 +431,43 @@ def test_closed_equals_quadrature_random_draws():
             semi_angle_rad=math.radians(rng.uniform(20.0, 80.0)),
         )
         assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-7)
+
+
+def u_integral_reference(p):
+    """30-digit mean of log2(1 + rho * u**-(m+3)) over u in the program's support.
+
+    The squared-gain density is constant in u = t**(-1/(m+3)); on a point-mass
+    support the mean is log2(1 + rho * t_max).
+    """
+    t_min, t_max = gain_sq_support(p)
+    with mp.workdps(30):
+        rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
+        if t_min == t_max:
+            return float(mp.log1p(rho * t_max) / mp.log(2))
+        k = mp.mpf(lambertian_order(p.semi_angle_rad)) + 3
+        u_low, u_high = mp.mpf(t_max) ** (-1 / k), mp.mpf(t_min) ** (-1 / k)
+        total = mp.quad(lambda u: mp.log1p(rho * u ** -k), [u_low, u_high])
+        return float(total / ((u_high - u_low) * mp.log(2)))
+
+
+# The antiderivative difference cancels on a narrow cell: it used to be 9e-10
+# off at 1e-3 m, 7.4e-4 at 1e-6 m, and exactly 0 from 1e-8 m down.
+@pytest.mark.parametrize("semi_angle_deg", [5.0, 20.0, 60.0])
+@pytest.mark.parametrize(
+    "radius", [3e-1, 2e-1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-7, 1e-8, 1e-12, 1e-20, 1e-50, 1e-100]
+)
+def test_closed_matches_mpmath_on_narrow_cells(radius, semi_angle_deg):
+    p = make_params(cell_radius_m=radius, semi_angle_rad=math.radians(semi_angle_deg))
+    assert avg_capacity_closed(p) == pytest.approx(u_integral_reference(p), rel=2e-13)
+
+
+# log1p(rho * u**-(m+3)) falls over a relative width 1/(m+3) from u_low; without
+# cuts there the rule was 1.4e-6, 4.1e-6 and 1.1e-4 off at 5, 4 and 3 degrees.
+@pytest.mark.parametrize("semi_angle_deg", [3.0, 3.5, 4.0, 5.0])
+def test_quadrature_resolves_narrow_beams(semi_angle_deg):
+    p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
+    assert avg_capacity_quad(p) == pytest.approx(closed_form_reference(p), rel=1e-13)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=CLOSED_VS_QUAD_RTOL)
 
 
 def test_capacity_monotone_trends():
