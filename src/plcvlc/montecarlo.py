@@ -2,8 +2,10 @@
 
 Every request reduces one path SNR per trial: a hop's own SNR or, end to end,
 min(SNR_plc, SNR_vlc), since the decode-and-forward relay forwards only what
-both hops carry.  A capacity is the mean of level * log2(1 + snr), an outage
-the share of trials with snr below the SNR threshold.
+both hops carry.  A capacity is the mean of level * (log1p(snr) / ln 2), an
+outage the share of trials with snr below the SNR threshold.  Each batch
+runs in place in buffers that its thread reuses from batch to batch, and
+sums pairwise in NumPy, never in BLAS, whose bits could depend on the build.
 
 Determinism contract: every reported Estimate is a pure function of
 (seed, trials, batch_size, parameters, metric), whichever other requests
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ParameterError
 from .plc_link import PlcLinkParams, snr_scale
 from .relay import RelaySystemParams, rate_to_snr_threshold
-from .vlc_link import VlcLinkParams, channel_gain
+from .vlc_link import VlcLinkParams, gain_sq, gain_sq_law
 
 __all__ = [
     "METRICS",
@@ -56,6 +57,9 @@ MIN_TRIALS = 1_000
 # The one-pass sum of squared deviations, total_sq - total**2 / n, carries a
 # rounding error of up to about this share of total_sq (128 ulps).
 _RESOLVED = 2.0 ** -45
+# 10**(x/5) = exp(x * _LN10_OVER_5); a capacity in bits is log1p(snr) / _LN2.
+_LN10_OVER_5 = math.log(10.0) / 5.0
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -89,19 +93,35 @@ class Estimate:
     seed: int
 
 
-def sample_plc_snr(p: PlcLinkParams, u):
-    """Relay SNR for a unit-normal draw u: a * 10**((mu + sigma*u)/5)."""
-    return snr_scale(p) * 10.0 ** ((p.fading_mu_db + p.fading_sigma_db * u) / 5.0)
+def sample_plc_snr(p: PlcLinkParams, u, out=None):
+    """Relay SNR for a unit-normal draw u: a * 10**((mu + sigma*u)/5).
+
+    Computed as exp(c0 + c1*u) with c0 = ln a + mu*ln(10)/5 and
+    c1 = sigma*ln(10)/5: one exp per trial, in place in ``out`` (a new array
+    if None).
+    """
+    c0 = math.log(snr_scale(p)) + p.fading_mu_db * _LN10_OVER_5
+    c1 = p.fading_sigma_db * _LN10_OVER_5
+    u = np.asarray(u, dtype=float)
+    snr = np.multiply(u, c1, out=np.empty_like(u) if out is None else out)
+    np.add(snr, c0, out=snr)
+    np.exp(snr, out=snr)
+    return snr if snr.ndim else float(snr)
 
 
-def sample_vlc_snr(p: VlcLinkParams, v):
+def sample_vlc_snr(p: VlcLinkParams, v, out=None):
     """Destination SNR for a uniform(0,1) draw v.
 
-    The user radius r_k = r * sqrt(v) inverts the disc-uniform location CDF;
-    the SNR is (P_r / sigma_d^2) * h(r_k)^2.
+    The user radius r_k = r * sqrt(v) inverts the disc-uniform location CDF,
+    so v = (r_k/r)**2, and the SNR is rho * t with rho = P_r / sigma_d^2 and
+    t the squared gain (C / (r**2*v + L**2))**(m+3) of ``vlc_link.gain_sq``:
+    no square root and no square, in place in ``out`` (a new array if None).
+    At v = 1 and v = 0, t is ``vlc_link.gain_sq_support`` exactly.
     """
-    gain = channel_gain(p.cell_radius_m * np.sqrt(v), p)
-    return p.tx_power_w / p.noise_variance * gain * gain
+    v = np.asarray(v, dtype=float)
+    snr = gain_sq(v, gain_sq_law(p), np.empty_like(v) if out is None else out)
+    np.multiply(snr, p.tx_power_w / p.noise_variance, out=snr)
+    return snr if snr.ndim else float(snr)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -134,26 +154,39 @@ def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
 
 
 def _batch_partials(
-    keys: list[tuple], last: dict, cfg: McConfig, batch_index: int
+    keys: list[tuple], last: dict, cfg: McConfig, batch_index: int, spare: list[np.ndarray]
 ) -> list[tuple[float, float, float, float]]:
-    """(sum, sum of squares, min, max) of every reduction key over one batch."""
+    """(sum, sum of squares, min, max) of every reduction key over one batch.
+
+    Every float array of the batch is a ``batch_size`` buffer from ``spare``,
+    the calling thread's own list, and goes back to it once nothing reads it,
+    so later batches write into memory already mapped instead of fresh pages.
+    """
     start = batch_index * cfg.batch_size
     count = min(cfg.batch_size, cfg.trials - start)
     rng = _batch_rng(int(cfg.seed), batch_index)
+
+    def take() -> np.ndarray:
+        return (spare.pop() if spare else np.empty(cfg.batch_size))[:count]
 
     def draw(stream: str) -> np.ndarray:
         # Fixed positions: the normals first and the e2e uniforms after them
         # (an e2e path reads its PLC hop first), the vlc-only uniforms from the
         # start of the stream, through a second generator with the same key.
         if stream == "plc":
-            return rng.standard_normal(count)
+            return rng.standard_normal(out=take())
         if stream == "e2e":
-            return rng.random(count)
-        return _batch_rng(int(cfg.seed), batch_index).random(count)
+            return rng.random(out=take())
+        return _batch_rng(int(cfg.seed), batch_index).random(out=take())
 
-    # Draws by stream, SNRs by transform and by path, each dropped once the
-    # last key that reads it has built its path (``snr`` holds that path).
+    # Draws by stream, SNRs by transform and by path, each dropped after the
+    # last key that reads it; its buffer goes back once no live entry holds
+    # it (a one-hop path holds its transform's).  The samplers are looked up
+    # by name on every call, so a tracer that wraps them sees each batch's
+    # transforms on the thread that runs it.
     live: dict[object, np.ndarray] = {}
+    values = take()
+    below = np.empty(count, dtype=bool)
     partials = []
     for i, (kind, path, level) in enumerate(keys):
         if path not in live:
@@ -163,22 +196,30 @@ def _batch_partials(
                     if stream not in live:
                         live[stream] = draw(stream)
                     sampler = sample_plc_snr if stream == "plc" else sample_vlc_snr
-                    live[transform] = sampler(params, live[stream])
-            live[path] = live[path[0]] if len(path) == 1 else np.minimum(*map(live.get, path))
+                    live[transform] = sampler(params, live[stream], out=take())
+            live[path] = live[path[0]] if len(path) == 1 else np.minimum(
+                *map(live.get, path), out=take()
+            )
         snr = live[path]
-        for name in [name for name in live if last[name] == i]:
-            del live[name]
         if kind == "avg_capacity":
-            # min does not round, 1 + x rounds monotonically and log2 is
+            # min does not round, and log1p, the division and the product are
             # monotone: these are the bits of level * min of the hop capacities.
-            values = level * np.log2(1.0 + snr)
-            partials.append((float(np.sum(values)), float(np.sum(values * values)),
-                             float(values.min()), float(values.max())))
+            np.log1p(snr, out=values)
+            np.divide(values, _LN2, out=values)
+            np.multiply(values, level, out=values)
+            total, low, high = float(np.sum(values)), float(values.min()), float(values.max())
+            np.multiply(values, values, out=values)
+            partials.append((total, float(np.sum(values)), low, high))
         else:
             # No sampler returns NaN, so the path is below the threshold iff a
             # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
-            hits = int(np.count_nonzero(snr < level))
+            hits = int(np.count_nonzero(np.less(snr, level, out=below)))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0)))
+        for name in [name for name in live if last[name] == i]:
+            buffer = live.pop(name)
+            if all(held is not buffer for held in live.values()):
+                spare.append(buffer.base)
+    spare.append(values.base)
     return partials
 
 
@@ -235,12 +276,22 @@ def estimate_many(
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
+    # Spare buffers, one list per thread: at most pool_size batches run at once.
+    workspaces: list[list[np.ndarray]] = [[] for _ in range(pool_size)]
+
     def run(batch_index: int) -> list[tuple[float, float, float, float]]:
-        return _batch_partials(keys, last, cfg, batch_index)
+        spare = workspaces.pop()
+        try:
+            return _batch_partials(keys, last, cfg, batch_index, spare)
+        finally:
+            workspaces.append(spare)
 
     if pool_size == 1:
         partials = [run(b) for b in range(n_batches)]
     else:
+        # Imported here: single-threaded runs do not pay for the module.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             partials = list(pool.map(run, range(n_batches)))
 

@@ -96,7 +96,8 @@ def gauss_legendre_panels(
     """
     x, w = _gauss_legendre_arrays(order)
     if 0.0 < low and high / low > grading:
-        splits = (*splits, *low * grading ** np.arange(1, math.ceil(math.log(high / low, grading))))
+        graded = range(1, math.ceil(math.log(high / low, grading)))
+        splits = (*splits, *(low * grading ** k for k in graded))
     edges = [low, *sorted({p for p in splits if low < p < high}), high]
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
     half = (cuts[1:, None] - cuts[:-1, None]) / 2.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "lambertian_order",
     "front_end_q",
     "channel_gain",
+    "gain_sq_law",
+    "gain_sq",
     "gain_sq_support",
     "gain_sq_pdf",
     "gain_sq_cdf",
@@ -94,7 +97,11 @@ class VlcLinkParams:
             )
         _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
         try:
-            t_min, t_max = gain_sq_support(self)
+            # The support in Python floats, within an ulp of ``_shape``'s: its
+            # power raises OverflowError where NumPy's would only warn.
+            m, c_const, r_sq, height_sq = gain_sq_law(self)
+            t_min = (c_const / (r_sq + height_sq)) ** (m + 3.0)
+            t_max = (c_const / height_sq) ** (m + 3.0)
         except (OverflowError, ZeroDivisionError):
             t_min = t_max = math.inf
         gain_fields = (
@@ -112,6 +119,20 @@ class VlcLinkParams:
                 "the SNR at the nadir, VlcLinkParams.tx_power_w / VlcLinkParams.noise_variance "
                 f"times the squared gain, overflows; the gain is set by {gain_fields}"
             )
+
+    @cached_property
+    def _shape(self) -> tuple[float, float, float, float]:
+        """(m, C, t_min, t_max), worked out on first use: ``gain_sq_law``'s m
+        and C, and the squared gains at the cell edge and at the nadir.
+
+        t_min and t_max are ``gain_sq``'s arithmetic at v = 1 and v = 0, the
+        bases in Python floats and the power in NumPy, so the sampler
+        reproduces them exactly.
+        """
+        m, c_const, r_sq, height_sq = gain_sq_law(self)
+        bases = [c_const / (r_sq + height_sq), c_const / height_sq]
+        t_min, t_max = np.power(bases, m + 3.0).tolist()
+        return m, c_const, t_min, t_max
 
 
 def _check_semi_angle(angle: float, name: str) -> None:
@@ -134,23 +155,51 @@ def front_end_q(p: VlcLinkParams) -> float:
     )
 
 
-def _gain_law(p: VlcLinkParams) -> tuple[float, float]:
-    """(m, A) of the gain law h = A / (r_k^2 + L^2)**((m+3)/2), A = Q*(m+1)*L**(m+1)."""
+def gain_sq_law(p: VlcLinkParams) -> tuple[float, float, float, float]:
+    """(m, C, r**2, L**2) of the squared-gain law.
+
+    The gain is h = A / (r_k^2 + L^2)**((m+3)/2) with A = Q*(m+1)*L**(m+1),
+    so the squared gain at v = (r_k/r)**2 is t = (C / (r**2*v + L**2))**(m+3)
+    with C = A**(2/(m+3)), the power-law constant of the gain CDF.  C is
+    formed as (Q*(m+1))**(2/(m+3)) * L**(2*(m+1)/(m+3)), never through A,
+    whose L**(m+1) overflows or goes subnormal at a narrow beam (m in the
+    hundreds), and the base C / (r**2*v + L**2) is t**(1/(m+3)): a narrow
+    beam takes no intermediate out of the normal range where t and L**2
+    stay in it.
+    """
     m = lambertian_order(p.semi_angle_rad)
-    return m, front_end_q(p) * (m + 1.0) * p.height_m ** (m + 1.0)
+    c_const = (front_end_q(p) * (m + 1.0)) ** (2.0 / (m + 3.0)) * p.height_m ** (
+        2.0 * (m + 1.0) / (m + 3.0)
+    )
+    return m, c_const, p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
+
+
+def gain_sq(v: np.ndarray, law: tuple[float, float, float, float], out: np.ndarray) -> np.ndarray:
+    """Squared gain (C / (r**2*v + L**2))**(m+3) of ``gain_sq_law`` at v, written into ``out``.
+
+    Four in-place ufunc passes; ``out`` may be v itself.  NumPy's power sets
+    the bits, and ``gain_sq_support`` is this at v = 1 and v = 0.
+    """
+    m, c_const, r_sq, height_sq = law
+    np.multiply(v, r_sq, out=out)
+    np.add(out, height_sq, out=out)
+    np.divide(c_const, out, out=out)
+    return np.power(out, m + 3.0, out=out)
 
 
 def channel_gain(r_k, p: VlcLinkParams):
     """LOS channel gain for a user at horizontal distance r_k from the nadir.
 
-    h = Q * (m+1) * L**(m+1) / (r_k^2 + L^2)**((m+3)/2), strictly decreasing
-    in r_k.  Accepts a scalar or an ndarray of distances.
+    h = sqrt(t), t = (C / (r_k^2 + L^2))**(m+3) the squared gain of
+    ``gain_sq``, strictly decreasing in r_k.  Accepts a scalar or an ndarray
+    of distances.
     """
-    m, amplitude = _gain_law(p)
+    m, c_const, _, height_sq = gain_sq_law(p)
     radii = np.asarray(r_k, dtype=float)
     if np.any(radii < 0.0) or np.any(radii > p.cell_radius_m):
         raise ParameterError("r_k must lie in [0, cell_radius_m]")
-    gain = amplitude * (radii * radii + p.height_m * p.height_m) ** (-(m + 3.0) / 2.0)
+    # With r**2 = 1 in the law, gain_sq's v is the squared distance itself.
+    gain = np.sqrt(gain_sq(radii * radii, (m, c_const, 1.0, height_sq), np.empty_like(radii)))
     if np.ndim(r_k) == 0:
         return float(gain)
     return gain
@@ -158,21 +207,7 @@ def channel_gain(r_k, p: VlcLinkParams):
 
 def gain_sq_support(p: VlcLinkParams) -> tuple[float, float]:
     """Support [t_min, t_max] of the squared channel gain over the cell."""
-    return _shape(p)[2:]
-
-
-def _shape(p: VlcLinkParams) -> tuple[float, float, float, float]:
-    """(m, C, t_min, t_max) with C the power-law constant of the gain CDF.
-
-    t_min and t_max are the squared gains at the cell edge and at the nadir,
-    by ``channel_gain``'s arithmetic in Python floats.
-    """
-    m, amplitude = _gain_law(p)
-    height_sq = p.height_m * p.height_m
-    exponent = -(m + 3.0) / 2.0
-    g_min = amplitude * (p.cell_radius_m * p.cell_radius_m + height_sq) ** exponent
-    g_max = amplitude * height_sq ** exponent
-    return m, amplitude ** (2.0 / (m + 3.0)), g_min * g_min, g_max * g_max
+    return p._shape[2:]
 
 
 def gain_sq_pdf(x, p: VlcLinkParams):
@@ -181,7 +216,7 @@ def gain_sq_pdf(x, p: VlcLinkParams):
     f(x) = C * x**(-1/(m+3) - 1) / ((m+3) * r^2) on [t_min, t_max], zero
     outside; integrates to one exactly by construction.
     """
-    m, c_const, t_min, t_max = _shape(p)
+    m, c_const, t_min, t_max = p._shape
     coef = c_const / ((m + 3.0) * p.cell_radius_m ** 2)
     expo = -1.0 / (m + 3.0) - 1.0
     values = np.asarray(x, dtype=float)
@@ -195,7 +230,7 @@ def gain_sq_pdf(x, p: VlcLinkParams):
 
 def gain_sq_cdf(x, p: VlcLinkParams):
     """CDF of the squared channel gain: clamped power law on [t_min, t_max]."""
-    m, c_const, t_min, t_max = _shape(p)
+    m, c_const, t_min, t_max = p._shape
     r_sq = p.cell_radius_m ** 2
     offset = 1.0 + p.height_m ** 2 / r_sq
     expo = -1.0 / (m + 3.0)
@@ -239,7 +274,7 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
 
 def _capacity_by_rule(p: VlcLinkParams, order: int) -> float:
     """``avg_capacity_quad`` with ``order`` nodes per panel."""
-    m, c_const, t_min, t_max = _shape(p)
+    m, c_const, t_min, t_max = p._shape
     rho = p.tx_power_w / p.noise_variance
     beta = 1.0 / (m + 3.0)
     u_low = t_max ** -beta
@@ -278,7 +313,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     the mean is taken by ``avg_capacity_quad``'s rule with ``_NARROW_ORDER``
     nodes per panel instead; on a point-mass support it is log2(1 + rho*t_max).
     """
-    m, c_const, t_min, t_max = _shape(p)
+    m, c_const, t_min, t_max = p._shape
     rho = p.tx_power_w / p.noise_variance
     beta = 1.0 / (m + 3.0)
     if t_min ** -beta - t_max ** -beta < _NARROW_WIDTH * t_max ** -beta:

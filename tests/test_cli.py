@@ -289,6 +289,64 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
+def test_cli_leaves_the_thread_pool_module_out_on_one_worker(tmp_path):
+    # concurrent.futures (and the logging it imports) loads only for a pool.
+    src = str(Path(plcvlc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    script = (
+        "import sys, plcvlc.cli\n"
+        "from plcvlc.montecarlo import MIN_TRIALS\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "args = ['--trials', str(MIN_TRIALS), '--workers', '1', '--out', sys.argv[1]]\n"
+        "code = plcvlc.cli.main(['figure', '4', *args])\n"
+        "print(code, 'concurrent.futures' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "figure4.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def _validate_rows(tmp_path, capsys, text):
+    path = tmp_path / "point.cfg"
+    path.write_text(text)
+    code = cli.main(["validate", "--config", str(path), "--trials", "100000", "--seed", "1"])
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    return code, rows
+
+
+def test_validate_at_vanishing_relay_power(tmp_path, capsys):
+    # log2(1 + snr) rounded every sampled capacity to 0 here: the reference
+    # and its standard error were 0 and vlc_avg_capacity disagreed.
+    code, rows = _validate_rows(tmp_path, capsys, "relay_power_w = 1e-20\n")
+    assert code == 0
+    assert float(rows["vlc_avg_capacity"][3]) > 0.0
+
+
+# The gain law used to raise (r^2 + L^2) to -(m+3)/2 before squaring, which is
+# subnormal here (semi-angle 3.6 degrees, 6.6 m cell): the closed form was
+# 1.3e-5 off the quadrature.  A 10 nm cell is a point mass: the sampled and
+# analytic values must be equal, std_error 0.  At 3 degrees and 4.5 m the
+# amplitude Q*(m+1)*L**(m+1) overflows, and the cell was refused.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "semi_angle_deg = 3.58672021461792\ncell_radius_m = 6.635910878994956\n"
+        "led_height_m = 4.412270576089906\nrelay_power_w = 0.8466311169727182\n",
+        "cell_radius_m = 1e-8\n",
+        "semi_angle_deg = 3\nled_height_m = 4.5\n",
+    ],
+)
+def test_validate_on_the_shared_gain_law(tmp_path, capsys, text):
+    code, rows = _validate_rows(tmp_path, capsys, text)
+    assert code == 0
+    assert all(row[-1] == "agree" for row in rows.values())
+
+
 def test_validate_at_high_transmit_snr(tmp_path, capsys):
     # The closed form used to cancel here and disagree with the quadrature.
     path = tmp_path / "bright.cfg"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -71,6 +72,15 @@ def test_vlc_sampler_extremes(default_system):
     rho = p.tx_power_w / p.noise_variance
     assert sample_vlc_snr(p, 0.0) == pytest.approx(rho * t_max, rel=1e-12)
     assert sample_vlc_snr(p, 1.0) == pytest.approx(rho * t_min, rel=1e-12)
+
+
+@pytest.mark.parametrize("semi_angle_deg", [3.0, 3.58672021461792, 20.0, 60.0])
+def test_vlc_sampler_reproduces_the_support_exactly(default_system, semi_angle_deg):
+    p = dataclasses.replace(default_system.vlc, semi_angle_rad=math.radians(semi_angle_deg))
+    t_min, t_max = vlc_link.gain_sq_support(p)
+    rho = p.tx_power_w / p.noise_variance
+    assert sample_vlc_snr(p, np.array([0.0, 1.0])).tolist() == [rho * t_max, rho * t_min]
+    assert (sample_vlc_snr(p, 0.0), sample_vlc_snr(p, 1.0)) == (rho * t_max, rho * t_min)
 
 
 def test_vlc_sampler_inverts_location_law(default_system):
@@ -218,6 +228,22 @@ def test_shared_pass_matches_standalone_estimates(default_system, workers):
             assert (est.mean, est.std_error) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_pass_over_relay_power_and_height_matches_standalone(default_system, workers):
+    # Points that share a PLC hop or an LED height share draws and keys in one
+    # pass; each estimate must still equal its standalone pass.
+    requests = []
+    for height in (2.15, 3.0):
+        for power in (0.02, 0.26, 0.5):
+            vlc = dataclasses.replace(default_system.vlc, height_m=height, tx_power_w=power)
+            system = dataclasses.replace(default_system, vlc=vlc)
+            requests += [(metric, system) for metric in METRICS]
+    cfg = McConfig(trials=10_000, seed=17, batch_size=4096)
+    shared = estimate_many(requests, cfg, workers=workers)
+    for (metric, system), est in zip(requests, shared):
+        assert est == estimate(metric, system, cfg), metric
+
+
 def test_shared_pass_of_nothing_is_empty():
     assert estimate_many([], McConfig(trials=10_000)) == []
 
@@ -225,13 +251,13 @@ def test_shared_pass_of_nothing_is_empty():
 def test_worker_pool_capped_at_batch_count(default_system, monkeypatch):
     requested = []
 
-    class Recorder(montecarlo.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             requested.append(max_workers)
             assert max_workers == 3
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     cfg = McConfig(trials=10_000, seed=2, batch_size=4096)
     threaded = estimate("e2e_outage", default_system, cfg, workers=10 ** 6)
     assert requested == [3]
@@ -258,27 +284,34 @@ def test_path_snr_has_the_bits_of_the_hop_by_hop_reductions():
     assert not np.any(np.isnan(a) | np.isnan(b))
     path = np.minimum(a, b)
     for level in (0.5, 1.0, 0.25):
-        hop_by_hop = level * np.minimum(np.log2(1.0 + a), np.log2(1.0 + b))
-        assert np.array_equal(level * np.log2(1.0 + path), hop_by_hop)
+        hop_by_hop = level * np.minimum(np.log1p(a) / math.log(2.0), np.log1p(b) / math.log(2.0))
+        assert np.array_equal(level * (np.log1p(path) / math.log(2.0)), hop_by_hop)
     for threshold in (0.0, 1.0, 3.0, 1e-310, 1e300, np.inf):
         assert np.array_equal(path < threshold, (a < threshold) | (b < threshold))
 
 
 def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
     # One batch, reduced hop by hop from the documented stream positions:
-    # the normals first, the e2e uniforms after them.
+    # the normals first, the e2e uniforms after them.  At a vanishing relay
+    # power log2(1 + snr) would round every capacity to 0; log1p does not.
     cfg = McConfig(trials=8192, seed=21, batch_size=8192)
-    rng = montecarlo._batch_rng(cfg.seed, 0)
-    plc = sample_plc_snr(default_system.plc, rng.standard_normal(cfg.trials))
-    vlc = sample_vlc_snr(default_system.vlc, rng.random(cfg.trials))
-    capacity = default_system.duplex_factor * np.minimum(np.log2(1.0 + plc), np.log2(1.0 + vlc))
-    threshold = relay.rate_to_snr_threshold(
-        default_system.rate_threshold_bits, default_system.duplex_factor
+    dim = dataclasses.replace(
+        default_system, vlc=dataclasses.replace(default_system.vlc, tx_power_w=1e-20)
     )
-    hits = np.count_nonzero((plc < threshold) | (vlc < threshold))
-    mean_capacity = float(np.sum(capacity)) / cfg.trials
-    assert estimate("e2e_avg_capacity", default_system, cfg).mean == mean_capacity
-    assert estimate("e2e_outage", default_system, cfg).mean == hits / cfg.trials
+    for system in (default_system, dim):
+        rng = montecarlo._batch_rng(cfg.seed, 0)
+        plc = sample_plc_snr(system.plc, rng.standard_normal(cfg.trials))
+        vlc = sample_vlc_snr(system.vlc, rng.random(cfg.trials))
+        capacity = system.duplex_factor * np.minimum(
+            np.log1p(plc) / math.log(2.0), np.log1p(vlc) / math.log(2.0)
+        )
+        threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
+        hits = np.count_nonzero((plc < threshold) | (vlc < threshold))
+        partial = (float(np.sum(capacity)), float(np.sum(capacity * capacity)),
+                   float(capacity.min()), float(capacity.max()))
+        assert estimate("e2e_avg_capacity", system, cfg) == montecarlo._combine([partial], cfg)
+        assert estimate("e2e_outage", system, cfg).mean == hits / cfg.trials
+    assert partial[0] > 0.0
 
 
 @pytest.mark.parametrize("radius", [1e-3, 1e-4, 1e-6])

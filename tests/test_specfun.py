@@ -118,6 +118,58 @@ def test_panels_graded_toward_zero():
     assert gauss_legendre_panels(1.0, 1e6, 16)[0].size == 2 * 16
 
 
+def _panels_with_array_splits(low, high, order, splits=(), grading=math.inf):
+    """The rule with its graded splits formed as a NumPy array (reference)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    if 0.0 < low and high / low > grading:
+        splits = (*splits, *low * grading ** np.arange(1, math.ceil(math.log(high / low, grading))))
+    edges = [low, *sorted({p for p in splits if low < p < high}), high]
+    cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
+    half = (cuts[1:, None] - cuts[:-1, None]) / 2.0
+    centre = cuts[:-1, None] + half
+    return (centre + half * x).ravel(), (half * w).ravel()
+
+
+def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, monkeypatch):
+    # Every rule the analytic evaluations build, over points spanning the
+    # analytic-grid ranges with semi-angles down to 3 degrees.
+    import dataclasses
+
+    from plcvlc import relay, sweeps, vlc_link
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return gauss_legendre_panels(*args, **kwargs)
+
+    monkeypatch.setattr(relay, "gauss_legendre_panels", recording)
+    monkeypatch.setattr(vlc_link, "gauss_legendre_panels", recording)
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        plc = dataclasses.replace(
+            default_system.plc,
+            distance_m=rng.uniform(5.0, 200.0),
+            fading_sigma_db=float(rng.choice([0.0, rng.uniform(0.5, 6.0)])),
+        )
+        vlc = dataclasses.replace(
+            default_system.vlc,
+            height_m=rng.uniform(2.15, 3.0),
+            cell_radius_m=rng.uniform(2.5, 4.5),
+            tx_power_w=rng.uniform(0.02, 0.5),
+            semi_angle_rad=math.radians(rng.uniform(3.0, 80.0)),
+        )
+        system = dataclasses.replace(default_system, plc=plc, vlc=vlc)
+        sweeps.evaluate_point(system)
+        vlc_link.avg_capacity_quad(vlc)
+        relay.e2e_avg_capacity_numeric(system)
+    assert any(kwargs.get("grading", math.inf) < math.inf for _, kwargs in calls)
+    for args, kwargs in calls:
+        nodes, weights = gauss_legendre_panels(*args, **kwargs)
+        ref_nodes, ref_weights = _panels_with_array_splits(*args, **kwargs)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
 # ---------------------------------------------------------------------------
 # std_normal_cdf
 # ---------------------------------------------------------------------------

@@ -470,6 +470,30 @@ def test_quadrature_resolves_narrow_beams(semi_angle_deg):
     assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=CLOSED_VS_QUAD_RTOL)
 
 
+# (r^2 + L^2)**(-(m+3)/2) was subnormal at the first two narrow beams, so
+# t_min kept few digits and the closed form was 2.3e-10 (3 degrees) and
+# 1.3e-5 (3.6 degrees, 6.6 m cell) off the quadrature.  The amplitude
+# A = Q*(m+1)*L**(m+1) overflows at 3 degrees and 4.5 m (L**506 ~ 1e331) and
+# underflows to 0 at 2.7 degrees and 0.3 m (L**625 ~ 1e-327), where the cell
+# was refused though its squared gains are normal floats.
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(semi_angle_rad=math.radians(3.0)),
+        dict(semi_angle_rad=math.radians(3.58672021461792), cell_radius_m=6.635910878994956,
+             height_m=4.412270576089906, tx_power_w=0.8466311169727182),
+        dict(semi_angle_rad=math.radians(3.0), height_m=4.5),
+        dict(semi_angle_rad=math.radians(2.7), height_m=0.3, cell_radius_m=0.2),
+    ],
+)
+def test_closed_equals_quadrature_where_the_old_gain_law_left_the_normal_range(overrides):
+    p = make_params(**overrides)
+    m = lambertian_order(p.semi_angle_rad)
+    _, t_max = gain_sq_support(p)
+    assert t_max == pytest.approx((front_end_q(p) * (m + 1.0)) ** 2 / p.height_m ** 4, rel=1e-12)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-11)
+
+
 def test_capacity_monotone_trends():
     powers = [0.02, 0.05, 0.1, 0.3, 0.5]
     caps = [avg_capacity_closed(make_params(tx_power_w=w)) for w in powers]
