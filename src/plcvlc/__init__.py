@@ -7,6 +7,25 @@ a deterministic, seedable Monte Carlo engine.  The analytic functions live in
 the submodules ``plc_link``, ``vlc_link``, ``relay`` and ``sweeps``.
 """
 
+import os
+import sys
+
+# NumPy's bundled OpenBLAS starts ncores - 1 busy-waiting threads when it
+# loads, and nothing in this package makes a threaded BLAS call: Monte Carlo
+# sums pairwise in NumPy, the quadrature sums are dot products over at most
+# a few thousand nodes, and the only LAPACK call is the small eigvalsh of the
+# cached Gauss-Hermite and Gauss-Legendre rules.  Those threads would only
+# burn CPU, so NumPy is loaded with one BLAS thread, unless it is loaded
+# already or the user chose a thread count.  The variable is set for the load
+# alone: os.environ and child processes see exactly what the user set.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import ConfigError, ParameterError, PlcVlcError
 from .montecarlo import METRICS, Estimate, McConfig, estimate, estimate_many
 from .plc_link import PlcLinkParams

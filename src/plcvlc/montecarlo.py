@@ -60,6 +60,8 @@ _RESOLVED = 2.0 ** -45
 # 10**(x/5) = exp(x * _LN10_OVER_5); a capacity in bits is log1p(snr) / _LN2.
 _LN10_OVER_5 = math.log(10.0) / 5.0
 _LN2 = math.log(2.0)
+# Rounding of a sampled mean, in ulps of it (``_combine``).
+_ROUNDING_ULPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,25 @@ class Estimate:
     seed: int
 
 
+def _plc_log_snr(p: PlcLinkParams, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y = c0 + c1*u = ln(relay SNR), with c0 = ln a + mu*ln(10)/5 and
+    c1 = sigma*ln(10)/5, in place in ``out``."""
+    c0 = math.log(snr_scale(p)) + p.fading_mu_db * _LN10_OVER_5
+    np.multiply(u, p.fading_sigma_db * _LN10_OVER_5, out=out)
+    return np.add(out, c0, out=out)
+
+
 def sample_plc_snr(p: PlcLinkParams, u, out=None):
     """Relay SNR for a unit-normal draw u: a * 10**((mu + sigma*u)/5).
 
-    Computed as exp(c0 + c1*u) with c0 = ln a + mu*ln(10)/5 and
-    c1 = sigma*ln(10)/5: one exp per trial, in place in ``out`` (a new array
-    if None).
+    Computed as exp(y), y = ``_plc_log_snr``: one exp per trial, in place in
+    ``out`` (a new array if None).  It is inf where y > ln(max float), which
+    only a PLC-only capacity reads as such (``_batch_partials``).
     """
-    c0 = math.log(snr_scale(p)) + p.fading_mu_db * _LN10_OVER_5
-    c1 = p.fading_sigma_db * _LN10_OVER_5
     u = np.asarray(u, dtype=float)
-    snr = np.multiply(u, c1, out=np.empty_like(u) if out is None else out)
-    np.add(snr, c0, out=snr)
-    np.exp(snr, out=snr)
+    snr = _plc_log_snr(p, u, np.empty_like(u) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(snr, out=snr)
     return snr if snr.ndim else float(snr)
 
 
@@ -207,7 +215,19 @@ def _batch_partials(
             np.log1p(snr, out=values)
             np.divide(values, _LN2, out=values)
             np.multiply(values, level, out=values)
-            total, low, high = float(np.sum(values)), float(values.min()), float(values.max())
+            high = float(values.max())
+            if high == math.inf:
+                # Only the PLC sampler overflows, and a path with a VLC hop is
+                # finite, so this is a PLC-only path (level 1).  Where exp(y)
+                # overflowed (y > 709), log1p(exp(y)) = y to the last bit:
+                # redraw the batch's normals (the first draws of its stream).
+                ((_, params),) = path
+                y = _batch_rng(int(cfg.seed), batch_index).standard_normal(count)
+                _plc_log_snr(params, y, out=y)
+                np.divide(y, _LN2, out=y)
+                np.copyto(values, y, where=np.isinf(values))
+                high = float(values.max())
+            total, low = float(np.sum(values)), float(values.min())
             np.multiply(values, values, out=values)
             partials.append((total, float(np.sum(values)), low, high))
         else:
@@ -224,6 +244,19 @@ def _batch_partials(
 
 
 def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -> Estimate:
+    """The estimate from every batch's (sum, sum of squares, min, max).
+
+    The standard error reported is at least ``_ROUNDING_ULPS`` ulps of the
+    mean, the rounding that the estimate carries whatever its spread: each
+    capacity's log1p(snr) / ln 2 is within 1.5 ulps (log1p within 1 ulp, the
+    division half an ulp), every value has one sign, so their mean is too, and
+    the mean itself adds half an ulp (fsum is exactly rounded, then one
+    division).  NumPy's pairwise batch sums came within 1 ulp of exact on
+    narrow cells, which a 3-standard-error test still covers.  A sample
+    spanning a few ulps (a narrow cell) has a smaller sampling error than
+    this bound; at any real spread the sampling error is far larger, and the
+    standard error keeps its bits.
+    """
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     low = min(p[2] for p in partials)
@@ -238,7 +271,9 @@ def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -
         # report Popoviciu's bound on it, n * (high - low)**2 / 4, instead.
         squares = trials * (high - low) ** 2 / 4.0
     std_error = math.sqrt(squares / (trials - 1) / trials)
-    return Estimate(mean=total / trials, std_error=std_error, trials=trials, seed=seed)
+    mean = total / trials
+    std_error = max(std_error, _ROUNDING_ULPS * math.ulp(mean))
+    return Estimate(mean=mean, std_error=std_error, trials=trials, seed=seed)
 
 
 def estimate_many(

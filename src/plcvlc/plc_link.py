@@ -120,8 +120,9 @@ def avg_capacity(p: PlcLinkParams) -> float:
     crossover, from about 3.8 to 4.7 dB, neither form reaches 1e-8 at every
     median SNR with 30 nodes (worst seen 7e-8, at 4.3 dB and -10 dB).
     Further out in median SNR both forms degrade at large spreads (4e-6 at
-    6 dB and -40 dB).  No duplexing factor is applied here; time sharing is
-    accounted for at the system level.
+    6 dB and -40 dB).  From 16 dB to 1e4 dB of spread, at median SNRs in
+    [-40, 30] dB, the error is below 1e-15.  No duplexing factor is applied
+    here; time sharing is accounted for at the system level.
     """
     rule = gauss_hermite(p.quadrature_order)
     shift = 2.0 * p.fading_mu_db + DB_SCALE * math.log(snr_scale(p))
@@ -148,7 +149,11 @@ def _fourier_form_converges_faster(m: float, s: float, order: int) -> bool:
     that form is kept without further test (this also keeps s = 0 away from
     the divisions by s).  Elsewhere the two predicted errors are compared;
     over the grid in ``avg_capacity``'s docstring their median ratio to the
-    measured errors is within a factor of 2 for either form.
+    measured errors is within a factor of 2 for either form.  Fourier poles
+    beyond b = sqrt(2n + 1), out of the nodes' reach, are predicted to cost
+    no more than poles at that height (the estimate's minimum over b): the
+    Fourier form keeps the largest spreads, where the softplus kink is far
+    narrower than the spacing of the nodes.
     """
     if s * s <= math.pi:
         return False
@@ -156,7 +161,10 @@ def _fourier_form_converges_faster(m: float, s: float, order: int) -> bool:
     b = math.pi / (math.sqrt(2.0) * s)
     a = m / (math.sqrt(2.0) * s)
     log_cosh_m = abs(m) + math.log1p(math.exp(-2.0 * abs(m))) - math.log(2.0)
-    fourier = log_cosh_m + 0.5 * s * s - math.sqrt(2.0) * s * k
+    if s < math.sqrt(2.0) * k:
+        fourier = log_cosh_m + 0.5 * s * s - math.sqrt(2.0) * s * k
+    else:
+        fourier = log_cosh_m - k * k
     softplus = 0.5 * math.log(math.pi) + b * b - a * a - 2.0 * b * k - math.log(k - b)
     return fourier < softplus
 

@@ -24,7 +24,6 @@ __all__ = [
     "VlcLinkParams",
     "lambertian_order",
     "front_end_q",
-    "channel_gain",
     "gain_sq_law",
     "gain_sq",
     "gain_sq_support",
@@ -185,24 +184,6 @@ def gain_sq(v: np.ndarray, law: tuple[float, float, float, float], out: np.ndarr
     np.add(out, height_sq, out=out)
     np.divide(c_const, out, out=out)
     return np.power(out, m + 3.0, out=out)
-
-
-def channel_gain(r_k, p: VlcLinkParams):
-    """LOS channel gain for a user at horizontal distance r_k from the nadir.
-
-    h = sqrt(t), t = (C / (r_k^2 + L^2))**(m+3) the squared gain of
-    ``gain_sq``, strictly decreasing in r_k.  Accepts a scalar or an ndarray
-    of distances.
-    """
-    m, c_const, _, height_sq = gain_sq_law(p)
-    radii = np.asarray(r_k, dtype=float)
-    if np.any(radii < 0.0) or np.any(radii > p.cell_radius_m):
-        raise ParameterError("r_k must lie in [0, cell_radius_m]")
-    # With r**2 = 1 in the law, gain_sq's v is the squared distance itself.
-    gain = np.sqrt(gain_sq(radii * radii, (m, c_const, 1.0, height_sq), np.empty_like(radii)))
-    if np.ndim(r_k) == 0:
-        return float(gain)
-    return gain
 
 
 def gain_sq_support(p: VlcLinkParams) -> tuple[float, float]:

@@ -111,8 +111,8 @@ def test_gain_distribution_correctness(system):
     p = system.vlc
     n = 1_000_000
     rng = np.random.default_rng(505)
-    radii = p.cell_radius_m * np.sqrt(rng.random(n))
-    sample = np.sort(vlc_link.channel_gain(radii, p) ** 2)
+    v = rng.random(n)
+    sample = np.sort(vlc_link.gain_sq(v, vlc_link.gain_sq_law(p), np.empty_like(v)))
     cdf = vlc_link.gain_sq_cdf(sample, p)
     ranks = np.arange(1, n + 1)
     statistic = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1) / n)))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import plcvlc
-from plcvlc import cli, plc_link, relay
+from plcvlc import cli, plc_link, relay, vlc_link
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import McConfig
@@ -254,17 +254,18 @@ def test_validate_at_narrow_beam_and_wide_cell(tmp_path, capsys):
 
 
 def test_validate_at_huge_fading_spread(tmp_path, capsys):
-    # The end-to-end mean used to overflow exponentiating splits below the cell edge.
+    # The end-to-end mean used to overflow exponentiating splits below the cell
+    # edge, and the sampled PLC capacity exp(y) overflowed to inf.
     path = tmp_path / "spread.cfg"
     path.write_text("fading_sigma_db = 1e4\n")
     system, _ = load_config(path)
     assert math.isfinite(relay.e2e_avg_capacity_numeric(system))
-    cli.main(["validate", "--config", str(path), *FAST])
+    assert cli.main(["validate", "--config", str(path), *FAST]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    row = [line for line in captured.out.splitlines() if line.startswith("e2e_avg_capacity ")]
-    assert len(row) == 1
-    assert math.isfinite(float(row[0].split()[1]))
+    rows = {line.split()[0]: line.split() for line in captured.out.splitlines()[1:]}
+    for metric in ("plc_avg_capacity", "e2e_avg_capacity"):
+        assert all(math.isfinite(float(value)) for value in rows[metric][1:4])
 
 
 def test_cli_import_leaves_scipy_integrate_out():
@@ -309,6 +310,30 @@ def test_cli_leaves_the_thread_pool_module_out_on_one_worker(tmp_path):
     )
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def _task_count_after_cli_import(env_overrides):
+    src = str(Path(plcvlc.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import os, plcvlc.cli\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**env, **env_overrides}, check=True)
+    return done.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least 2 cores")
+def test_cli_import_starts_no_blas_threads():
+    # NumPy's OpenBLAS would start a busy-waiting thread per extra core; the
+    # package loads it with one, and leaves the environment as it was.
+    assert _task_count_after_cli_import({}) == ["1", "None"]
+    # A thread count that the user set wins.
+    assert _task_count_after_cli_import({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "2"]
 
 
 def _validate_rows(tmp_path, capsys, text):
@@ -463,16 +488,28 @@ def test_bad_sweep_value_names_its_variable(capsys, variable, args):
 
 # The VLC closed form cancelled on narrow cells (4.6e-8 off at 1e-4 m, 7.4e-4
 # at 1e-6 m), the sampled standard error came out 0 there, and the quadrature
-# missed a boundary layer at narrow beams: each of these exited 1.
+# missed a boundary layer at narrow beams: each of these exited 1.  At 1e-7
+# and 3e-8 m the standard error was below the rounding of the mean.
 @pytest.mark.parametrize(
     "line",
-    ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "semi_angle_deg = 3",
-     "semi_angle_deg = 4", "semi_angle_deg = 5"],
+    ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "cell_radius_m = 1e-7",
+     "cell_radius_m = 3e-8", "semi_angle_deg = 3", "semi_angle_deg = 4", "semi_angle_deg = 5"],
 )
 def test_validate_at_narrow_cells_and_beams(tmp_path, capsys, line):
     path = tmp_path / "narrow.cfg"
     path.write_text(line + "\n")
     assert cli.main(["validate", "--config", str(path), "--trials", "100000", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("radius", ["1e-7", "3e-8"])
+def test_narrow_cell_still_detects_a_tiny_analytic_error(tmp_path, capsys, monkeypatch, radius):
+    # The rounding floor of the standard error is a few ulps: an analytic value
+    # 1e-12 relative off still disagrees.
+    original = vlc_link.avg_capacity_closed
+    monkeypatch.setattr(vlc_link, "avg_capacity_closed", lambda p: original(p) * (1.0 + 1e-12))
+    code, rows = _validate_rows(tmp_path, capsys, f"cell_radius_m = {radius}\n")
+    assert code == 1
+    assert rows["vlc_avg_capacity"][-1] == "DISAGREE"
 
 
 @pytest.mark.parametrize(

@@ -328,3 +328,49 @@ def test_unresolved_spread_reports_its_bound(default_system, radius):
     spread = math.log2(1.0 + rho * t_max) - math.log2(1.0 + rho * t_min)
     assert 0.0 < est.std_error <= spread / (2.0 * math.sqrt(cfg.trials - 1)) * 1.0001
     assert abs(vlc_link.avg_capacity_closed(s.vlc) - est.mean) <= 3.0 * est.std_error
+
+
+def test_plc_capacity_past_exp_overflow(default_system):
+    # At a 1e4 dB spread exp(y) overflows on about half the trials, and the
+    # sampled capacity used to be inf with a nan standard error.  Reference:
+    # softplus(y) / ln 2 in the log domain over the same normals.
+    plc = dataclasses.replace(default_system.plc, fading_sigma_db=1e4)
+    system = dataclasses.replace(default_system, plc=plc)
+    cfg = McConfig(trials=10_000, seed=5, batch_size=4096)
+    u = np.concatenate([
+        montecarlo._batch_rng(cfg.seed, b).standard_normal(min(4096, cfg.trials - 4096 * b))
+        for b in range(3)
+    ])
+    y = math.log(plc_link.snr_scale(plc)) + (plc.fading_mu_db + plc.fading_sigma_db * u) * (
+        math.log(10.0) / 5.0
+    )
+    assert np.count_nonzero(y > 710.0) > 1000
+    capacity = np.logaddexp(0.0, y) / math.log(2.0)
+    est = estimate("plc_avg_capacity", system, cfg)
+    assert est.mean == pytest.approx(float(capacity.mean()), rel=1e-13)
+    assert est.std_error == pytest.approx(float(capacity.std(ddof=1)) / math.sqrt(cfg.trials),
+                                          rel=1e-9)
+    # The end-to-end path and the outages read the overflowed SNRs as they are.
+    for metric in ("e2e_avg_capacity", "plc_outage", "e2e_outage"):
+        assert math.isfinite(estimate(metric, system, cfg).std_error)
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_std_error_is_at_least_the_rounding_of_the_mean(spread):
+    # Values one ulp apart have a sampling error (Popoviciu's bound) far below
+    # the rounding of their mean, two ulps of it, which is reported instead.
+    # A real spread keeps the textbook standard error, bit for bit.
+    cfg = McConfig(trials=4096, batch_size=4096)
+    if spread:
+        values = np.linspace(1.0, 3.0, cfg.trials)
+    else:
+        values = np.full(cfg.trials, 5.61)
+        values[:96] = math.nextafter(5.61, 6.0)
+    total, total_sq = float(np.sum(values)), float(np.sum(values * values))
+    est = montecarlo._combine([(total, total_sq, values.min(), values.max())], cfg)
+    if spread:
+        squares = total_sq - total * total / cfg.trials
+        assert est.std_error == math.sqrt(squares / (cfg.trials - 1) / cfg.trials)
+    else:
+        popoviciu = (values.max() - values.min()) / (2.0 * math.sqrt(cfg.trials - 1))
+        assert popoviciu < est.std_error == 2.0 * math.ulp(est.mean)

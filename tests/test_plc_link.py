@@ -229,7 +229,9 @@ def documented_order30_rtol(sigma_db):
         return 1e-7
     if sigma_db < 7.0:
         return 1e-9
-    return 1e-11
+    if sigma_db < 16.0:
+        return 1e-11
+    return 1e-15
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0, 6.0])
@@ -243,7 +245,9 @@ def test_capacity_orders_30_and_40_match_mpmath(sigma):
 
 
 @pytest.mark.parametrize("median_snr_db", [-10.0, 10.0, 30.0])
-@pytest.mark.parametrize("sigma", [2.0, 4.5, 6.0, 8.0])
+# From about 45 dB the Fourier form's poles lie beyond the nodes' reach; the
+# softplus form was chosen there and missed the kink by about 1 %.
+@pytest.mark.parametrize("sigma", [2.0, 4.5, 6.0, 8.0, 60.0, 1e4])
 def test_capacity_order30_within_documented_accuracy(sigma, median_snr_db):
     p = make_params(
         fading_sigma_db=sigma, noise_variance=reference_noise_for_median_snr(10 ** (median_snr_db / 10))
