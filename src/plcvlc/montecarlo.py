@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .plc_link import PlcLinkParams, snr_scale
+from .plc_link import PlcLinkParams
 from .relay import RelaySystemParams, rate_to_snr_threshold
-from .vlc_link import VlcLinkParams, gain_sq, gain_sq_law
+from .vlc_link import VlcLinkParams, gain_sq
 
 __all__ = [
     "METRICS",
@@ -57,8 +57,7 @@ MIN_TRIALS = 1_000
 # The one-pass sum of squared deviations, total_sq - total**2 / n, carries a
 # rounding error of up to about this share of total_sq (128 ulps).
 _RESOLVED = 2.0 ** -45
-# 10**(x/5) = exp(x * _LN10_OVER_5); a capacity in bits is log1p(snr) / _LN2.
-_LN10_OVER_5 = math.log(10.0) / 5.0
+# A capacity in bits is log1p(snr) / _LN2.
 _LN2 = math.log(2.0)
 # Rounding of a sampled mean, in ulps of it (``_combine``).
 _ROUNDING_ULPS = 2.0
@@ -96,11 +95,11 @@ class Estimate:
 
 
 def _plc_log_snr(p: PlcLinkParams, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """y = c0 + c1*u = ln(relay SNR), with c0 = ln a + mu*ln(10)/5 and
-    c1 = sigma*ln(10)/5, in place in ``out``."""
-    c0 = math.log(snr_scale(p)) + p.fading_mu_db * _LN10_OVER_5
-    np.multiply(u, p.fading_sigma_db * _LN10_OVER_5, out=out)
-    return np.add(out, c0, out=out)
+    """y = centre + spread*u = ln(relay SNR), with (centre, spread) = ``p.law``,
+    in place in ``out``."""
+    centre, spread = p.law
+    np.multiply(u, spread, out=out)
+    return np.add(out, centre, out=out)
 
 
 def sample_plc_snr(p: PlcLinkParams, u, out=None):
@@ -122,13 +121,13 @@ def sample_vlc_snr(p: VlcLinkParams, v, out=None):
 
     The user radius r_k = r * sqrt(v) inverts the disc-uniform location CDF,
     so v = (r_k/r)**2, and the SNR is rho * t with rho = P_r / sigma_d^2 and
-    t the squared gain (C / (r**2*v + L**2))**(m+3) of ``vlc_link.gain_sq``:
-    no square root and no square, in place in ``out`` (a new array if None).
-    At v = 1 and v = 0, t is ``vlc_link.gain_sq_support`` exactly.
+    t the squared gain (C / (r**2*v + L**2))**(m+3) of ``vlc_link.gain_sq``
+    under ``p.law``: no square root and no square, in place in ``out`` (a new
+    array if None).  At v = 1 and v = 0, t is the law's support exactly.
     """
     v = np.asarray(v, dtype=float)
-    snr = gain_sq(v, gain_sq_law(p), np.empty_like(v) if out is None else out)
-    np.multiply(snr, p.tx_power_w / p.noise_variance, out=snr)
+    snr = gain_sq(v, p.law, np.empty_like(v) if out is None else out)
+    np.multiply(snr, p.law.rho, out=snr)
     return snr if snr.ndim else float(snr)
 
 

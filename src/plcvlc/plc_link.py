@@ -6,11 +6,12 @@ a = P_s * exp(-2*alpha*d) / sigma_r^2 and the dB value of |h| is Gaussian with
 mean ``fading_mu_db`` and standard deviation ``fading_sigma_db`` (so the dB
 power gain is N(2*mu, (2*sigma)^2)).
 
-The mean capacity is E[softplus(Y)] / ln 2 with Y = ln(gamma) = m + s*Z,
-m = (2*mu + zeta*ln a) / zeta, s = 2*sigma / zeta, zeta = 10/ln 10 and Z
-standard normal.  ``avg_capacity`` takes it with a Gauss-Hermite rule of
-``quadrature_order`` nodes applied to one of two exact forms of that
-expectation, whichever the rule converges on faster (see its docstring).
+So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
+s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic,
+read by the mean and outage here, the sampler and the end-to-end integral.
+At zero spread it is a point mass at the sampler's SNR float(np.exp(m)).
+The mean capacity is E[softplus(m + s*Z)] / ln 2; ``avg_capacity`` takes it
+with a Gauss-Hermite rule applied to one of two exact forms of it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = ["DB_SCALE", "PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_c
 
 # dB per neper of power: 10/ln(10).
 DB_SCALE = 10.0 / math.log(10.0)
+# A dB amplitude gain x is the power gain 10**(x/5) = exp(x * _LN10_OVER_5).
+_LN10_OVER_5 = math.log(10.0) / 5.0
+_LN2 = math.log(2.0)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -41,7 +45,8 @@ _SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 1) for k in range(8, 0, -1
 class PlcLinkParams:
     """Cable, power, noise and fading parameters of the power-line hop.
 
-    The SNR scale ``snr_scale`` must be a positive normal float.
+    The SNR scale ``snr_scale`` must be a positive normal float.  ``law`` is
+    (m, s) of ln(SNR) (module docstring), set on construction.
     """
 
     frequency_hz: float
@@ -84,6 +89,8 @@ class PlcLinkParams:
                 "PlcLinkParams.frequency_hz, PlcLinkParams.atten_k, PlcLinkParams.atten_a0 "
                 "and PlcLinkParams.atten_a1"
             )
+        centre = math.log(scale) + self.fading_mu_db * _LN10_OVER_5
+        object.__setattr__(self, "law", (centre, self.fading_sigma_db * _LN10_OVER_5))
 
 
 def attenuation_coeff(p: PlcLinkParams) -> float:
@@ -99,13 +106,15 @@ def snr_scale(p: PlcLinkParams) -> float:
 def avg_capacity(p: PlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + gamma)] in bits/s/Hz.
 
-    The expectation over the Gaussian dB power gain, E[softplus(Y)] / ln 2
-    with Y = m + s*Z (module docstring), is a Gauss-Hermite sum of
-    ``quadrature_order`` nodes over one of two exact forms of it:
+    It is E[softplus(Y)] / ln 2 with ln(gamma) = Y = m + s*Z, (m, s) = ``p.law``.
+    At zero spread that is NumPy's log1p of the point mass over ln 2, the
+    sampled capacity bit for bit (m / ln 2 where exp(m) overflows, as in the
+    sampler).  Otherwise it is a Gauss-Hermite sum of ``quadrature_order``
+    nodes over one of two exact forms of it:
 
-    * the softplus form, log(1 + exp(Y)) at the nodes of Y.  It is used
-      whenever s**2 <= pi (fading spreads up to about 3.85 dB, the default
-      3 dB included), so also at zero spread, where it is exact;
+    * the softplus form, log(1 + exp(Y)) at the nodes m + sqrt(2)*s*x of Y.
+      It is used whenever s**2 <= pi (fading spreads up to about 3.85 dB,
+      the default 3 dB included);
     * the Fourier form, E[max(Y, 0)] in closed form plus the Parseval
       integral of log(1 + exp(-|Y|)) (``_fourier_mean``).  It is used where
       its predicted error is the smaller (``_fourier_form_converges_faster``):
@@ -124,15 +133,25 @@ def avg_capacity(p: PlcLinkParams) -> float:
     [-40, 30] dB, the error is below 1e-15.  No duplexing factor is applied
     here; time sharing is accounted for at the system level.
     """
+    m, s = p.law
+    if s == 0.0:
+        snr = _point_mass(m)
+        return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
     rule = gauss_hermite(p.quadrature_order)
-    shift = 2.0 * p.fading_mu_db + DB_SCALE * math.log(snr_scale(p))
-    m, s = shift / DB_SCALE, 2.0 * p.fading_sigma_db / DB_SCALE
     if _fourier_form_converges_faster(m, s, rule.order):
-        return _fourier_mean(rule, m, s) / math.log(2.0)
-    exponents = (math.sqrt(8.0) * p.fading_sigma_db * rule.nodes + shift) / DB_SCALE
+        return _fourier_mean(rule, m, s) / _LN2
+    exponents = m + math.sqrt(2.0) * s * rule.nodes
     # log2(1 + exp(y)) evaluated in softplus form to survive large |y|.
     softplus = np.maximum(exponents, 0.0) + np.log1p(np.exp(-np.abs(exponents)))
-    return float(rule.weights @ softplus) / (_SQRT_PI * math.log(2.0))
+    return float(rule.weights @ softplus) / (_SQRT_PI * _LN2)
+
+
+def _point_mass(centre: float) -> float:
+    """The sampler's SNR exp(centre) at zero spread, inf where that overflows.
+
+    NumPy's exp, not math's: they differ in the last bit for a few percent."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(centre))
 
 
 def _fourier_form_converges_faster(m: float, s: float, order: int) -> bool:
@@ -146,10 +165,10 @@ def _fourier_form_converges_faster(m: float, s: float, order: int) -> bool:
     a further 1/(sqrt(2n + 1) - b) (Trefethen, "Is Gauss quadrature better
     than Clenshaw-Curtis?", SIAM Rev. 2008).  The two strip half-widths
     multiply to pi/2, so for s**2 <= pi the softplus strip is the wider and
-    that form is kept without further test (this also keeps s = 0 away from
-    the divisions by s).  Elsewhere the two predicted errors are compared;
-    over the grid in ``avg_capacity``'s docstring their median ratio to the
-    measured errors is within a factor of 2 for either form.  Fourier poles
+    that form is kept without further test.  Elsewhere the two predicted
+    errors are compared; over the grid in ``avg_capacity``'s docstring their
+    median ratio to the measured errors is within a factor of 2 for either
+    form.  Fourier poles
     beyond b = sqrt(2n + 1), out of the nodes' reach, are predicted to cost
     no more than poles at that height (the estimate's minimum over b): the
     Fourier form keeps the largest spreads, where the softplus kink is far
@@ -206,18 +225,14 @@ def _softplus_remainder_transform(omega: np.ndarray) -> np.ndarray:
 
 
 def outage(p: PlcLinkParams, snr_threshold: float) -> float:
-    """P(gamma < snr_threshold) under the log-normal fading model.
+    """P(gamma < snr_threshold) under ``p.law``, a normal ln(gamma).
 
-    With zero fading spread the SNR is deterministic and the result is a step
-    at the median SNR a * 10**(mu/5).
+    With zero fading spread the SNR is the point mass ``_point_mass`` and the
+    result is a step there.
     """
     if snr_threshold <= 0.0:
         return 0.0
-    a = snr_scale(p)
-    median_snr = a * 10.0 ** (p.fading_mu_db / 5.0)
-    if p.fading_sigma_db == 0.0:
-        return 0.0 if median_snr >= snr_threshold else 1.0
-    arg = (
-        DB_SCALE * math.log(snr_threshold) - (2.0 * p.fading_mu_db + DB_SCALE * math.log(a))
-    ) / (2.0 * p.fading_sigma_db)
-    return std_normal_cdf(arg)
+    centre, spread = p.law
+    if spread == 0.0:
+        return 0.0 if _point_mass(centre) >= snr_threshold else 1.0
+    return std_normal_cdf((math.log(snr_threshold) - centre) / spread)

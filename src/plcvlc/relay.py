@@ -107,8 +107,8 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     from the per-hop SNR CDFs (the hops are independent and the VLC capacity
     is bounded), with a fixed composite Gauss-Legendre rule; it is the
     analytic counterpart of the sampled estimate.  The PLC survival is a
-    normal CDF in y = ln(snr) about the median SNR a*10**(mu/5) (a step
-    there at zero spread); the VLC survival is 1 up to the cell-edge
+    normal CDF in y = ln(snr), ``PlcLinkParams.law`` (a step at its centre
+    at zero spread); the VLC survival is 1 up to the cell-edge
     capacity.  Below the edge the integral is taken in y, where
     dt/dy = expit(y)/ln 2; above it in u = (snr/rho)**(-beta),
     beta = 1/(m+3), as in ``vlc_link.avg_capacity_quad``, where the VLC
@@ -132,13 +132,9 @@ def _e2e_mean_and_error(s: RelaySystemParams) -> tuple[float, float]:
 
 def _survival_integral(s: RelaySystemParams, order: int) -> float:
     """Integral over t of P(C_plc > t) * P(C_vlc > t), ``order`` nodes per panel."""
-    plc, vlc = s.plc, s.vlc
-    t_min, t_max = vlc_link.gain_sq_support(vlc)
-    rho = vlc.tx_power_w / vlc.noise_variance
-    beta = 1.0 / (vlc_link.lambertian_order(vlc.semi_angle_rad) + 3.0)
-    # ln(snr) of the PLC hop is normal with this centre and spread.
-    centre = math.log(plc_link.snr_scale(plc)) + 2.0 * plc.fading_mu_db / plc_link.DB_SCALE
-    spread = 2.0 * plc.fading_sigma_db / plc_link.DB_SCALE
+    m, _, _, _, t_min, t_max, rho = s.vlc.law
+    beta = 1.0 / (m + 3.0)
+    centre, spread = s.plc.law
 
     def plc_survival(y: np.ndarray) -> np.ndarray:
         # 0.5 * erfc((y - centre) / (spread * sqrt 2)) where that is neither 1

@@ -213,23 +213,24 @@ def run_sweep(
     return RunReport(spec=spec, records=records)
 
 
+# (header, cell of a (spec, record) pair): the header line and every row.
 _CSV_COLUMNS = (
-    "swept_variable",
-    "swept_value",
-    "family_variable",
-    "family_value",
-    "plc_capacity_analytic",
-    "vlc_capacity_analytic",
-    "e2e_capacity_bound",
-    "plc_outage_analytic",
-    "vlc_outage_analytic",
-    "e2e_outage_analytic",
-    "e2e_capacity_mc",
-    "e2e_capacity_mc_se",
-    "e2e_outage_mc",
-    "e2e_outage_mc_se",
-    "e2e_outage_agrees",
-    "e2e_capacity_within_bound",
+    ("swept_variable", lambda spec, r: spec.variable),
+    ("swept_value", lambda spec, r: repr(r.swept_value)),
+    ("family_variable", lambda spec, r: spec.family_variable or ""),
+    ("family_value", lambda spec, r: "" if r.family_value is None else repr(r.family_value)),
+    ("plc_capacity_analytic", lambda spec, r: repr(r.plc_capacity)),
+    ("vlc_capacity_analytic", lambda spec, r: repr(r.vlc_capacity)),
+    ("e2e_capacity_bound", lambda spec, r: repr(r.e2e_capacity_bound)),
+    ("plc_outage_analytic", lambda spec, r: repr(r.plc_outage)),
+    ("vlc_outage_analytic", lambda spec, r: repr(r.vlc_outage)),
+    ("e2e_outage_analytic", lambda spec, r: repr(r.e2e_outage)),
+    ("e2e_capacity_mc", lambda spec, r: repr(r.mc_e2e_capacity.mean)),
+    ("e2e_capacity_mc_se", lambda spec, r: repr(r.mc_e2e_capacity.std_error)),
+    ("e2e_outage_mc", lambda spec, r: repr(r.mc_e2e_outage.mean)),
+    ("e2e_outage_mc_se", lambda spec, r: repr(r.mc_e2e_outage.std_error)),
+    ("e2e_outage_agrees", lambda spec, r: "true" if r.outage_agrees else "false"),
+    ("e2e_capacity_within_bound", lambda spec, r: "true" if r.capacity_within_bound else "false"),
 )
 
 
@@ -247,27 +248,9 @@ def report_csv(report: RunReport, system: RelaySystemParams, mc: McConfig) -> st
         lines.append(
             "# sweep.family_values = " + ",".join(repr(v) for v in spec.family_values)
         )
-    lines.append(",".join(_CSV_COLUMNS))
+    lines.append(",".join(header for header, _ in _CSV_COLUMNS))
     for r in report.records:
-        row = (
-            spec.variable,
-            repr(r.swept_value),
-            spec.family_variable or "",
-            "" if r.family_value is None else repr(r.family_value),
-            repr(r.plc_capacity),
-            repr(r.vlc_capacity),
-            repr(r.e2e_capacity_bound),
-            repr(r.plc_outage),
-            repr(r.vlc_outage),
-            repr(r.e2e_outage),
-            repr(r.mc_e2e_capacity.mean),
-            repr(r.mc_e2e_capacity.std_error),
-            repr(r.mc_e2e_outage.mean),
-            repr(r.mc_e2e_outage.std_error),
-            "true" if r.outage_agrees else "false",
-            "true" if r.capacity_within_bound else "false",
-        )
-        lines.append(",".join(row))
+        lines.append(",".join(cell(spec, r) for _, cell in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -10,10 +10,11 @@ via the Gauss hypergeometric function).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,18 @@ _NARROW_WIDTH = 1e-2
 U_GRADING = 4.0
 
 
+class VlcLaw(NamedTuple):
+    """``gain_sq_law``'s record of a cell: the squared-gain law, its support and rho."""
+
+    m: float  # Lambertian order
+    c_const: float  # C in t = (C / (r**2*v + L**2))**(m+3)
+    r_sq: float
+    height_sq: float
+    t_min: float  # squared gain at the cell edge (v = 1)
+    t_max: float  # and at the nadir (v = 0)
+    rho: float  # transmit SNR tx_power_w / noise_variance
+
+
 @dataclass(frozen=True)
 class VlcLinkParams:
     """LED geometry, optical front end and noise of the visible-light hop.
@@ -56,7 +69,8 @@ class VlcLinkParams:
     ``filter_gain`` and ``concentrator_gain`` are linear (convert dB values
     before constructing the params).  The transmit SNR tx_power_w /
     noise_variance, and the squared gain over the whole cell, must be
-    positive normal floats, and their product finite.
+    positive normal floats, and their product finite.  ``law`` is the
+    cell's ``gain_sq_law``, set on construction.
     """
 
     tx_power_w: float
@@ -88,50 +102,29 @@ class VlcLinkParams:
                 f"VlcLinkParams.cell_radius_m must have a positive normal float square, "
                 f"got {self.cell_radius_m!r}"
             )
-        rho = self.tx_power_w / self.noise_variance
-        if not sys.float_info.min <= rho < math.inf:
+        _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
+        law = gain_sq_law(self)
+        if not sys.float_info.min <= law.rho < math.inf:
             raise ParameterError(
                 f"the VLC transmit SNR VlcLinkParams.tx_power_w / VlcLinkParams.noise_variance "
-                f"= {rho!r} is not a positive normal float"
+                f"= {law.rho!r} is not a positive normal float"
             )
-        _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
-        try:
-            # The support in Python floats, within an ulp of ``_shape``'s: its
-            # power raises OverflowError where NumPy's would only warn.
-            m, c_const, r_sq, height_sq = gain_sq_law(self)
-            t_min = (c_const / (r_sq + height_sq)) ** (m + 3.0)
-            t_max = (c_const / height_sq) ** (m + 3.0)
-        except (OverflowError, ZeroDivisionError):
-            t_min = t_max = math.inf
         gain_fields = (
             "VlcLinkParams.detector_area, VlcLinkParams.filter_gain, "
             "VlcLinkParams.concentrator_gain, VlcLinkParams.responsivity, "
             "VlcLinkParams.cell_radius_m, VlcLinkParams.height_m and VlcLinkParams.semi_angle_rad"
         )
-        if not sys.float_info.min <= t_min <= t_max < math.inf:
+        if not sys.float_info.min <= law.t_min <= law.t_max < math.inf:
             raise ParameterError(
                 "the squared channel gain over the cell must stay a positive normal float; "
                 f"it is set by {gain_fields}"
             )
-        if not rho * t_max < math.inf:
+        if not law.rho * law.t_max < math.inf:
             raise ParameterError(
                 "the SNR at the nadir, VlcLinkParams.tx_power_w / VlcLinkParams.noise_variance "
                 f"times the squared gain, overflows; the gain is set by {gain_fields}"
             )
-
-    @cached_property
-    def _shape(self) -> tuple[float, float, float, float]:
-        """(m, C, t_min, t_max), worked out on first use: ``gain_sq_law``'s m
-        and C, and the squared gains at the cell edge and at the nadir.
-
-        t_min and t_max are ``gain_sq``'s arithmetic at v = 1 and v = 0, the
-        bases in Python floats and the power in NumPy, so the sampler
-        reproduces them exactly.
-        """
-        m, c_const, r_sq, height_sq = gain_sq_law(self)
-        bases = [c_const / (r_sq + height_sq), c_const / height_sq]
-        t_min, t_max = np.power(bases, m + 3.0).tolist()
-        return m, c_const, t_min, t_max
+        object.__setattr__(self, "law", law)
 
 
 def _check_semi_angle(angle: float, name: str) -> None:
@@ -154,8 +147,8 @@ def front_end_q(p: VlcLinkParams) -> float:
     )
 
 
-def gain_sq_law(p: VlcLinkParams) -> tuple[float, float, float, float]:
-    """(m, C, r**2, L**2) of the squared-gain law.
+def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
+    """The squared-gain law of the cell, its support and the transmit SNR.
 
     The gain is h = A / (r_k^2 + L^2)**((m+3)/2) with A = Q*(m+1)*L**(m+1),
     so the squared gain at v = (r_k/r)**2 is t = (C / (r**2*v + L**2))**(m+3)
@@ -164,31 +157,42 @@ def gain_sq_law(p: VlcLinkParams) -> tuple[float, float, float, float]:
     whose L**(m+1) overflows or goes subnormal at a narrow beam (m in the
     hundreds), and the base C / (r**2*v + L**2) is t**(1/(m+3)): a narrow
     beam takes no intermediate out of the normal range where t and L**2
-    stay in it.
+    stay in it.  t_min and t_max are ``gain_sq`` at v = 1 and v = 0, so the
+    sampler reaches them exactly.  Out-of-range values come out as inf, 0 or
+    nan, for ``VlcLinkParams`` to refuse.
     """
     m = lambertian_order(p.semi_angle_rad)
+    r_sq, height_sq = p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
+    rho = p.tx_power_w / p.noise_variance
+    if not 0.0 < height_sq < math.inf:
+        # The Python-float power of L and the division by L**2 would raise.
+        return VlcLaw(m, math.nan, r_sq, height_sq, math.nan, math.nan, rho)
     c_const = (front_end_q(p) * (m + 1.0)) ** (2.0 / (m + 3.0)) * p.height_m ** (
         2.0 * (m + 1.0) / (m + 3.0)
     )
-    return m, c_const, p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
+    bases = [c_const / (r_sq + height_sq), c_const / height_sq]
+    # Only a base above 1 can overflow (NumPy does not report underflow), and
+    # np.errstate costs about as much as the rest of the law.
+    with np.errstate(over="ignore") if bases[1] > 1.0 else contextlib.nullcontext():
+        t_min, t_max = np.power(bases, m + 3.0).tolist()
+    return VlcLaw(m, c_const, r_sq, height_sq, t_min, t_max, rho)
 
 
-def gain_sq(v: np.ndarray, law: tuple[float, float, float, float], out: np.ndarray) -> np.ndarray:
+def gain_sq(v: np.ndarray, law: VlcLaw, out: np.ndarray) -> np.ndarray:
     """Squared gain (C / (r**2*v + L**2))**(m+3) of ``gain_sq_law`` at v, written into ``out``.
 
     Four in-place ufunc passes; ``out`` may be v itself.  NumPy's power sets
     the bits, and ``gain_sq_support`` is this at v = 1 and v = 0.
     """
-    m, c_const, r_sq, height_sq = law
-    np.multiply(v, r_sq, out=out)
-    np.add(out, height_sq, out=out)
-    np.divide(c_const, out, out=out)
-    return np.power(out, m + 3.0, out=out)
+    np.multiply(v, law.r_sq, out=out)
+    np.add(out, law.height_sq, out=out)
+    np.divide(law.c_const, out, out=out)
+    return np.power(out, law.m + 3.0, out=out)
 
 
 def gain_sq_support(p: VlcLinkParams) -> tuple[float, float]:
     """Support [t_min, t_max] of the squared channel gain over the cell."""
-    return p._shape[2:]
+    return p.law.t_min, p.law.t_max
 
 
 def gain_sq_pdf(x, p: VlcLinkParams):
@@ -197,7 +201,7 @@ def gain_sq_pdf(x, p: VlcLinkParams):
     f(x) = C * x**(-1/(m+3) - 1) / ((m+3) * r^2) on [t_min, t_max], zero
     outside; integrates to one exactly by construction.
     """
-    m, c_const, t_min, t_max = p._shape
+    m, c_const, _, _, t_min, t_max, _ = p.law
     coef = c_const / ((m + 3.0) * p.cell_radius_m ** 2)
     expo = -1.0 / (m + 3.0) - 1.0
     values = np.asarray(x, dtype=float)
@@ -211,7 +215,7 @@ def gain_sq_pdf(x, p: VlcLinkParams):
 
 def gain_sq_cdf(x, p: VlcLinkParams):
     """CDF of the squared channel gain: clamped power law on [t_min, t_max]."""
-    m, c_const, t_min, t_max = p._shape
+    m, c_const, _, _, t_min, t_max, _ = p.law
     r_sq = p.cell_radius_m ** 2
     offset = 1.0 + p.height_m ** 2 / r_sq
     expo = -1.0 / (m + 3.0)
@@ -255,8 +259,7 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
 
 def _capacity_by_rule(p: VlcLinkParams, order: int) -> float:
     """``avg_capacity_quad`` with ``order`` nodes per panel."""
-    m, c_const, t_min, t_max = p._shape
-    rho = p.tx_power_w / p.noise_variance
+    m, _, _, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     u_low = t_max ** -beta
     u_high = t_min ** -beta
@@ -294,8 +297,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     the mean is taken by ``avg_capacity_quad``'s rule with ``_NARROW_ORDER``
     nodes per panel instead; on a point-mass support it is log2(1 + rho*t_max).
     """
-    m, c_const, t_min, t_max = p._shape
-    rho = p.tx_power_w / p.noise_variance
+    m, c_const, _, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     if t_min ** -beta - t_max ** -beta < _NARROW_WIDTH * t_max ** -beta:
         return _capacity_by_rule(p, _NARROW_ORDER)

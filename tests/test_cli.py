@@ -489,11 +489,25 @@ def test_bad_sweep_value_names_its_variable(capsys, variable, args):
 # The VLC closed form cancelled on narrow cells (4.6e-8 off at 1e-4 m, 7.4e-4
 # at 1e-6 m), the sampled standard error came out 0 there, and the quadrature
 # missed a boundary layer at narrow beams: each of these exited 1.  At 1e-7
-# and 3e-8 m the standard error was below the rounding of the mean.
+# and 3e-8 m the standard error was below the rounding of the mean.  At zero
+# fading spread the analytic PLC capacity was an ulp or two off the sampled
+# point mass, and with the median SNR within an ulp of the outage threshold 3
+# the analytic outage step fell on the other side of it.
 @pytest.mark.parametrize(
     "line",
     ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "cell_radius_m = 1e-7",
-     "cell_radius_m = 3e-8", "semi_angle_deg = 3", "semi_angle_deg = 4", "semi_angle_deg = 5"],
+     "cell_radius_m = 3e-8", "semi_angle_deg = 3", "semi_angle_deg = 4", "semi_angle_deg = 5",
+     "fading_sigma_db = 0",
+     pytest.param(
+         "fading_sigma_db = 0\nfading_mu_db = -4.495783679103389\n"
+         "plc_median_snr_db = 4.771212547196625",
+         id="fading_sigma_db = 0 at a median SNR of 3, mu < 0",
+     ),
+     pytest.param(
+         "fading_sigma_db = 0\nfading_mu_db = 4.362266529186838\n"
+         "plc_median_snr_db = 4.771212547196624",
+         id="fading_sigma_db = 0 at a median SNR of 3, mu > 0",
+     )],
 )
 def test_validate_at_narrow_cells_and_beams(tmp_path, capsys, line):
     path = tmp_path / "narrow.cfg"

@@ -5,7 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
+from plcvlc.montecarlo import MIN_TRIALS, McConfig, estimate_many, sample_plc_snr
 from plcvlc.plc_link import (
     DB_SCALE,
     PlcLinkParams,
@@ -340,6 +342,35 @@ def test_outage_step_when_deterministic():
     assert outage(p, 10.0000001) == 1.0
     # threshold exactly at the deterministic SNR is not an outage
     assert outage(p, snr_scale(p)) == 0.0
+
+
+def test_analytic_layer_reads_the_sampled_law():
+    # Zero spread: median SNRs within a few ulps of the outage threshold 3
+    # (the default system's), where the step reads the last bit of the point
+    # mass.
+    rng = np.random.default_rng(13)
+    median_db = 10.0 * math.log10(3.0)
+    systems = [
+        load_config(None, {
+            "fading_sigma_db": 0.0,
+            "fading_mu_db": float(mu),
+            "plc_median_snr_db": median_db + int(k) * 1e-15,
+        })[0]
+        for mu, k in zip(rng.uniform(-10.0, 10.0, 3000), rng.integers(-3, 4, 3000))
+    ]
+    metrics = {"plc_outage": lambda p: outage(p, 3.0), "plc_avg_capacity": avg_capacity}
+    requests = [(metric, s) for s in systems for metric in metrics]
+    sampled = estimate_many(requests, McConfig(trials=MIN_TRIALS, seed=1))
+    mismatches = [
+        (metric, s.plc.fading_mu_db, est.mean, metrics[metric](s.plc))
+        for (metric, s), est in zip(requests, sampled)
+        if est.mean != metrics[metric](s.plc)
+    ]
+    assert mismatches == []
+    # Positive spread: a zero draw samples the law's centre.
+    for sigma, mu in [(0.5, -4.0), (3.0, 0.0), (12.0, 4.0)]:
+        p = make_params(fading_sigma_db=sigma, fading_mu_db=mu)
+        assert sample_plc_snr(p, 0.0) == float(np.exp(p.law[0]))
 
 
 def test_outage_matches_empirical_cdf():
