@@ -4,7 +4,8 @@ Every request reduces one path SNR per trial: a hop's own SNR or, end to end,
 min(SNR_plc, SNR_vlc), since the decode-and-forward relay forwards only what
 both hops carry.  A capacity is the mean of level * (log1p(snr) / ln 2), an
 outage the share of trials with snr below the SNR threshold.  Each batch
-runs in place in buffers that its thread reuses from batch to batch, and
+runs in place in the five rows of one work array that its thread reuses
+from batch to batch (normals, e2e uniforms, PLC SNR, VLC SNR, values), and
 sums pairwise in NumPy, never in BLAS, whose bits could depend on the build.
 
 Determinism contract: every reported Estimate is a pure function of
@@ -13,9 +14,9 @@ share its sampling pass.  Batch b draws from its own counter-based Philox
 stream keyed by (seed, b) through a NumPy SeedSequence spawn key, and each
 metric reads fixed positions of it: PLC and end-to-end metrics the normals
 drawn first, end-to-end metrics the uniforms drawn after them, VLC-only
-metrics the uniforms at the start of the stream.  One pass
-(``estimate_many``) therefore draws a batch once and serves every request
-from it without changing a bit.  Batch partial sums are combined with
+metrics the uniforms at the start of the stream, drawn again for each VLC
+hop.  One pass (``estimate_many``) therefore serves every request from one
+batch without changing a bit.  Batch partial sums are combined with
 math.fsum, which is exactly rounded, so one worker thread or many give
 bit-identical estimates.
 """
@@ -94,12 +95,12 @@ class Estimate:
     seed: int
 
 
-def _plc_log_snr(p: PlcLinkParams, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _plc_log_snr(p: PlcLinkParams, u: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
     """y = centre + spread*u = ln(relay SNR), with (centre, spread) = ``p.law``,
-    in place in ``out``."""
+    in place in ``out`` where ``where`` holds."""
     centre, spread = p.law
-    np.multiply(u, spread, out=out)
-    return np.add(out, centre, out=out)
+    np.multiply(u, spread, out=out, where=where)
+    return np.add(out, centre, out=out, where=where)
 
 
 def sample_plc_snr(p: PlcLinkParams, u, out=None):
@@ -137,94 +138,82 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
-    """(kind, path, level) of one request.
+    """(kind, plc, vlc, level) of one request.
 
-    The path holds the hop transforms whose smallest SNR the request reads:
-    (plc,), (vlc,) or (plc, e2e).  A transform is (stream, hop params); the
-    stream names the draws it maps: "plc" the normals drawn first, "e2e" the
-    uniforms drawn after them, "vlc" the uniforms at the start of the batch
-    stream.  The level is an outage's SNR threshold, else a capacity's factor:
-    the duplex factor end to end, 1.0 for a hop.  Equal keys, equal estimates.
+    plc and vlc are the hop parameters whose smallest SNR the request reads,
+    None for a hop it does not read.  The level is an outage's SNR
+    threshold, else a capacity's factor: the duplex factor end to end, 1.0
+    for a hop.  Equal keys, equal estimates.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
     hop, kind = metric.split("_", 1)
-    if hop == "e2e":
-        path = (("plc", system.plc), ("e2e", system.vlc))
-    else:
-        path = ((hop, getattr(system, hop)),)
+    plc = None if hop == "vlc" else system.plc
+    vlc = None if hop == "plc" else system.vlc
     if kind == "outage":
         level = rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
     else:
         level = system.duplex_factor if hop == "e2e" else 1.0
-    return kind, path, level
+    return kind, plc, vlc, level
 
 
 def _batch_partials(
-    keys: list[tuple], last: dict, cfg: McConfig, batch_index: int, spare: list[np.ndarray]
+    keys: list[tuple], cfg: McConfig, batch_index: int, work: np.ndarray
 ) -> list[tuple[float, float, float, float]]:
     """(sum, sum of squares, min, max) of every reduction key over one batch.
 
-    Every float array of the batch is a ``batch_size`` buffer from ``spare``,
-    the calling thread's own list, and goes back to it once nothing reads it,
-    so later batches write into memory already mapped instead of fresh pages.
+    The batch runs in ``work``, its thread's own five rows (module
+    docstring).  A row is recomputed only where the parameters behind it
+    differ from the previous key's.
     """
     start = batch_index * cfg.batch_size
     count = min(cfg.batch_size, cfg.trials - start)
+    normals, uniforms, plc_snr, vlc_snr, values = work[:, :count]
+    # Fixed positions: the normals first and the e2e uniforms after them.
     rng = _batch_rng(int(cfg.seed), batch_index)
-
-    def take() -> np.ndarray:
-        return (spare.pop() if spare else np.empty(cfg.batch_size))[:count]
-
-    def draw(stream: str) -> np.ndarray:
-        # Fixed positions: the normals first and the e2e uniforms after them
-        # (an e2e path reads its PLC hop first), the vlc-only uniforms from the
-        # start of the stream, through a second generator with the same key.
-        if stream == "plc":
-            return rng.standard_normal(out=take())
-        if stream == "e2e":
-            return rng.random(out=take())
-        return _batch_rng(int(cfg.seed), batch_index).random(out=take())
-
-    # Draws by stream, SNRs by transform and by path, each dropped after the
-    # last key that reads it; its buffer goes back once no live entry holds
-    # it (a one-hop path holds its transform's).  The samplers are looked up
-    # by name on every call, so a tracer that wraps them sees each batch's
+    if any(plc is not None for _, plc, _, _ in keys):
+        rng.standard_normal(out=normals)
+    if any(plc is not None and vlc is not None for _, plc, vlc, _ in keys):
+        rng.random(out=uniforms)
+    # What the PLC, VLC and values rows hold.  The samplers are looked up by
+    # name on every call, so a tracer that wraps them sees each batch's
     # transforms on the thread that runs it.
-    live: dict[object, np.ndarray] = {}
-    values = take()
+    plc_row = vlc_row = path = None
     below = np.empty(count, dtype=bool)
     partials = []
-    for i, (kind, path, level) in enumerate(keys):
-        if path not in live:
-            for transform in path:
-                if transform not in live:
-                    stream, params = transform
-                    if stream not in live:
-                        live[stream] = draw(stream)
-                    sampler = sample_plc_snr if stream == "plc" else sample_vlc_snr
-                    live[transform] = sampler(params, live[stream], out=take())
-            live[path] = live[path[0]] if len(path) == 1 else np.minimum(
-                *map(live.get, path), out=take()
-            )
-        snr = live[path]
+    for kind, plc, vlc, level in keys:
+        if plc is not None and plc != plc_row:
+            sample_plc_snr(plc, normals, out=plc_snr)
+            plc_row = plc
+        if vlc is not None and (plc is None, vlc) != vlc_row:
+            if plc is None:
+                # The vlc-only uniforms start the stream: a second generator
+                # with the same key draws them.
+                _batch_rng(int(cfg.seed), batch_index).random(out=vlc_snr)
+            sample_vlc_snr(vlc, vlc_snr if plc is None else uniforms, out=vlc_snr)
+            vlc_row = (plc is None, vlc)
+        if plc is not None and vlc is not None:
+            if path != (plc, vlc):
+                np.minimum(plc_snr, vlc_snr, out=values)
+                path = (plc, vlc)
+            snr = values
+        else:
+            snr = vlc_snr if plc is None else plc_snr
         if kind == "avg_capacity":
             # min does not round, and log1p, the division and the product are
             # monotone: these are the bits of level * min of the hop capacities.
             np.log1p(snr, out=values)
             np.divide(values, _LN2, out=values)
             np.multiply(values, level, out=values)
+            path = None
             high = float(values.max())
             if high == math.inf:
                 # Only the PLC sampler overflows, and a path with a VLC hop is
                 # finite, so this is a PLC-only path (level 1).  Where exp(y)
-                # overflowed (y > 709), log1p(exp(y)) = y to the last bit:
-                # redraw the batch's normals (the first draws of its stream).
-                ((_, params),) = path
-                y = _batch_rng(int(cfg.seed), batch_index).standard_normal(count)
-                _plc_log_snr(params, y, out=y)
-                np.divide(y, _LN2, out=y)
-                np.copyto(values, y, where=np.isinf(values))
+                # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
+                overflowed = np.isinf(values, out=below)
+                _plc_log_snr(plc, normals, values, where=overflowed)
+                np.divide(values, _LN2, out=values, where=overflowed)
                 high = float(values.max())
             total, low = float(np.sum(values)), float(values.min())
             np.multiply(values, values, out=values)
@@ -234,11 +223,6 @@ def _batch_partials(
             # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
             hits = int(np.count_nonzero(np.less(snr, level, out=below)))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0)))
-        for name in [name for name in live if last[name] == i]:
-            buffer = live.pop(name)
-            if all(held is not buffer for held in live.values()):
-                spare.append(buffer.base)
-    spare.append(values.base)
     return partials
 
 
@@ -282,43 +266,37 @@ def estimate_many(
 ) -> list[Estimate]:
     """Monte Carlo estimates of (metric, system) requests from one sampling pass.
 
-    Every batch is drawn once.  Each distinct hop transform and path SNR in it
-    is computed once and serves every request that reads it, so each estimate
-    equals the standalone ``estimate`` of its request bit for bit.  Batches
-    run on up to ``workers`` threads, never more threads than batches.
+    Each batch draws its normals and e2e uniforms once, and each estimate
+    equals the standalone ``estimate`` of its request bit for bit.  The keys
+    run grouped by VLC hop (VLC-only and end-to-end apart), then by PLC hop,
+    each in order of first request, with a path's outages before its
+    capacities, so a batch recomputes a hop's SNR only where the group
+    changes.  Batches run on up to ``workers`` threads, never more threads
+    than batches.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
-    # Group keys by the path's last hop, then its first, so a batch holds few
-    # arrays at a time.
-    first_use: dict[object, int] = {}
-    for _, path, _ in slots:
-        first_use.setdefault(path[-1], len(first_use))
-        first_use.setdefault(path[0], len(first_use))
-    keys = sorted(dict.fromkeys(slots), key=lambda k: (first_use[k[1][-1]], first_use[k[1][0]]))
-    # The key after which each path SNR, transform and stream of draws is read
-    # no more: a path is read by its keys, a transform where a path holding it
-    # is built, a stream where one of its transforms is computed.
-    last: dict[object, int] = {}
-    for i, (_, path, _) in enumerate(keys):
-        for transform in () if path in last else path:
-            if transform not in last:
-                last[transform[0]] = i
-            last[transform] = i
-        last[path] = i
+    first: dict[object, int] = {}
+    for _, plc, vlc, _ in slots:
+        first.setdefault((plc is None, vlc), len(first))
+        first.setdefault(plc, len(first))
+    keys = sorted(
+        dict.fromkeys(slots),
+        key=lambda k: (first[k[1] is None, k[2]], first[k[1]], k[0] != "outage"),
+    )
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
-    # Spare buffers, one list per thread: at most pool_size batches run at once.
-    workspaces: list[list[np.ndarray]] = [[] for _ in range(pool_size)]
+    # One work array per thread: at most pool_size batches run at once.
+    workspaces = [np.empty((5, cfg.batch_size)) for _ in range(pool_size)]
 
     def run(batch_index: int) -> list[tuple[float, float, float, float]]:
-        spare = workspaces.pop()
+        work = workspaces.pop()
         try:
-            return _batch_partials(keys, last, cfg, batch_index, spare)
+            return _batch_partials(keys, cfg, batch_index, work)
         finally:
-            workspaces.append(spare)
+            workspaces.append(work)
 
     if pool_size == 1:
         partials = [run(b) for b in range(n_batches)]

@@ -119,8 +119,15 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     the poles of expit(y) lie, and geometrically toward u = 0.  Against a
     30-digit mpmath reference it was within 6e-14 relative on 900 random
     systems, fading spreads up to 12 dB and cell radii up to 300 m among
-    them (README).
+    them (README).  Where both hops are point masses (zero PLC spread, a
+    one-point VLC support) it is the capacity of the smaller SNR, in the
+    sampler's bits.
     """
+    centre, spread = s.plc.law
+    _, _, _, _, t_min, t_max, rho = s.vlc.law
+    if spread == 0.0 and t_min == t_max:
+        snr = min(plc_link._point_mass(centre), rho * t_max)
+        return s.duplex_factor * (float(np.log1p(snr)) / _LN2)
     return s.duplex_factor * _survival_integral(s, _E2E_ORDER)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "front_end_q",
     "gain_sq_law",
     "gain_sq",
-    "gain_sq_support",
     "gain_sq_pdf",
     "gain_sq_cdf",
     "avg_capacity_quad",
@@ -182,17 +181,12 @@ def gain_sq(v: np.ndarray, law: VlcLaw, out: np.ndarray) -> np.ndarray:
     """Squared gain (C / (r**2*v + L**2))**(m+3) of ``gain_sq_law`` at v, written into ``out``.
 
     Four in-place ufunc passes; ``out`` may be v itself.  NumPy's power sets
-    the bits, and ``gain_sq_support`` is this at v = 1 and v = 0.
+    the bits, and the law's support [t_min, t_max] is this at v = 1 and v = 0.
     """
     np.multiply(v, law.r_sq, out=out)
     np.add(out, law.height_sq, out=out)
     np.divide(law.c_const, out, out=out)
     return np.power(out, law.m + 3.0, out=out)
-
-
-def gain_sq_support(p: VlcLinkParams) -> tuple[float, float]:
-    """Support [t_min, t_max] of the squared channel gain over the cell."""
-    return p.law.t_min, p.law.t_max
 
 
 def gain_sq_pdf(x, p: VlcLinkParams):
@@ -201,8 +195,8 @@ def gain_sq_pdf(x, p: VlcLinkParams):
     f(x) = C * x**(-1/(m+3) - 1) / ((m+3) * r^2) on [t_min, t_max], zero
     outside; integrates to one exactly by construction.
     """
-    m, c_const, _, _, t_min, t_max, _ = p.law
-    coef = c_const / ((m + 3.0) * p.cell_radius_m ** 2)
+    m, c_const, r_sq, _, t_min, t_max, _ = p.law
+    coef = c_const / ((m + 3.0) * r_sq)
     expo = -1.0 / (m + 3.0) - 1.0
     values = np.asarray(x, dtype=float)
     inside = (values >= t_min) & (values <= t_max)
@@ -215,9 +209,8 @@ def gain_sq_pdf(x, p: VlcLinkParams):
 
 def gain_sq_cdf(x, p: VlcLinkParams):
     """CDF of the squared channel gain: clamped power law on [t_min, t_max]."""
-    m, c_const, _, _, t_min, t_max, _ = p.law
-    r_sq = p.cell_radius_m ** 2
-    offset = 1.0 + p.height_m ** 2 / r_sq
+    m, c_const, r_sq, height_sq, t_min, t_max, _ = p.law
+    offset = 1.0 + height_sq / r_sq
     expo = -1.0 / (m + 3.0)
     # isinstance first: np.ndim of a float costs more than the scalar path.
     if isinstance(x, float) or np.ndim(x) == 0:
@@ -297,7 +290,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     the mean is taken by ``avg_capacity_quad``'s rule with ``_NARROW_ORDER``
     nodes per panel instead; on a point-mass support it is log2(1 + rho*t_max).
     """
-    m, c_const, _, _, t_min, t_max, rho = p.law
+    m, c_const, r_sq, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     if t_min ** -beta - t_max ** -beta < _NARROW_WIDTH * t_max ** -beta:
         return _capacity_by_rule(p, _NARROW_ORDER)
@@ -316,7 +309,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     total = antiderivative(t_max) - antiderivative(t_min)
     if t_min * rho <= 1.0 < t_max * rho:
         total += math.pi / math.sin(math.pi * beta) * rho ** beta
-    return c_const / (p.cell_radius_m ** 2 * math.log(2.0)) * total
+    return c_const / (r_sq * math.log(2.0)) * total
 
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:

@@ -118,7 +118,7 @@ def test_gain_distribution_correctness(system):
     statistic = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1) / n)))
     critical = 1.6276 / math.sqrt(n)
 
-    t_min, t_max = vlc_link.gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     total, _ = integrate.quad(lambda x: vlc_link.gain_sq_pdf(x, p), t_min, t_max,
                               epsabs=1e-13, epsrel=1e-12, limit=200)
     _report(

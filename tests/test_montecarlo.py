@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_plc_sampler_positive_vectorized(default_system):
 
 def test_vlc_sampler_extremes(default_system):
     p = default_system.vlc
-    t_min, t_max = vlc_link.gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     rho = p.tx_power_w / p.noise_variance
     assert sample_vlc_snr(p, 0.0) == pytest.approx(rho * t_max, rel=1e-12)
     assert sample_vlc_snr(p, 1.0) == pytest.approx(rho * t_min, rel=1e-12)
@@ -77,7 +78,7 @@ def test_vlc_sampler_extremes(default_system):
 @pytest.mark.parametrize("semi_angle_deg", [3.0, 3.58672021461792, 20.0, 60.0])
 def test_vlc_sampler_reproduces_the_support_exactly(default_system, semi_angle_deg):
     p = dataclasses.replace(default_system.vlc, semi_angle_rad=math.radians(semi_angle_deg))
-    t_min, t_max = vlc_link.gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     rho = p.tx_power_w / p.noise_variance
     assert sample_vlc_snr(p, np.array([0.0, 1.0])).tolist() == [rho * t_max, rho * t_min]
     assert (sample_vlc_snr(p, 0.0), sample_vlc_snr(p, 1.0)) == (rho * t_max, rho * t_min)
@@ -143,7 +144,7 @@ def test_degenerate_system_has_no_spread(default_system):
     s = dataclasses.replace(default_system, plc=plc, vlc=vlc)
     c_plc = math.log2(1.0 + plc_link.snr_scale(plc) * 10.0 ** (plc.fading_mu_db / 5.0))
     c_vlc = math.log2(
-        1.0 + vlc.tx_power_w / vlc.noise_variance * vlc_link.gain_sq_support(vlc)[1]
+        1.0 + vlc.tx_power_w / vlc.noise_variance * vlc.law.t_max
     )
     expected = {
         "plc_avg_capacity": c_plc,
@@ -230,18 +231,48 @@ def test_shared_pass_matches_standalone_estimates(default_system, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_pass_over_relay_power_and_height_matches_standalone(default_system, workers):
-    # Points that share a PLC hop or an LED height share draws and keys in one
-    # pass; each estimate must still equal its standalone pass.
+    # Points that share a PLC hop or an LED height share draws and rows in one
+    # pass; each estimate must still equal its standalone pass.  Two duplex
+    # factors put two capacity keys on one end-to-end path.
     requests = []
-    for height in (2.15, 3.0):
-        for power in (0.02, 0.26, 0.5):
-            vlc = dataclasses.replace(default_system.vlc, height_m=height, tx_power_w=power)
-            system = dataclasses.replace(default_system, vlc=vlc)
-            requests += [(metric, system) for metric in METRICS]
+    for distance in (40.0, 120.0):
+        plc = dataclasses.replace(default_system.plc, distance_m=distance)
+        for height in (2.15, 3.0):
+            for power in (0.02, 0.26, 0.5):
+                vlc = dataclasses.replace(default_system.vlc, height_m=height, tx_power_w=power)
+                for duplex in (0.5, 1.0):
+                    system = dataclasses.replace(
+                        default_system, plc=plc, vlc=vlc, duplex_factor=duplex
+                    )
+                    requests += [(metric, system) for metric in METRICS]
     cfg = McConfig(trials=10_000, seed=17, batch_size=4096)
     shared = estimate_many(requests, cfg, workers=workers)
     for (metric, system), est in zip(requests, shared):
         assert est == estimate(metric, system, cfg), metric
+
+
+def test_shared_pass_memory_does_not_grow_with_the_hops(default_system):
+    # 6 PLC distances x 3 LED heights: each thread works in one five-row
+    # array, however many distinct hops the pass holds.
+    systems = [
+        dataclasses.replace(
+            default_system,
+            plc=dataclasses.replace(default_system.plc, distance_m=distance),
+            vlc=dataclasses.replace(default_system.vlc, height_m=height),
+        )
+        for height in (2.15, 2.5, 3.0)
+        for distance in (10.0, 40.0, 70.0, 100.0, 130.0, 160.0)
+    ]
+    requests = [(metric, s) for s in systems for metric in ("e2e_avg_capacity", "e2e_outage")]
+    cfg = McConfig(trials=8192, seed=3, batch_size=4096)
+    estimate_many(requests[:2], cfg)  # loads numpy.random, which is not the pass's memory
+    tracemalloc.start()
+    try:
+        estimate_many(requests, cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * cfg.batch_size * 8
 
 
 def test_shared_pass_of_nothing_is_empty():
@@ -323,7 +354,7 @@ def test_unresolved_spread_reports_its_bound(default_system, radius):
     )
     cfg = McConfig(trials=100_000, seed=1)
     est = estimate("vlc_avg_capacity", s, cfg)
-    t_min, t_max = vlc_link.gain_sq_support(s.vlc)
+    t_min, t_max = s.vlc.law.t_min, s.vlc.law.t_max
     rho = s.vlc.tx_power_w / s.vlc.noise_variance
     spread = math.log2(1.0 + rho * t_max) - math.log2(1.0 + rho * t_min)
     assert 0.0 < est.std_error <= spread / (2.0 * math.sqrt(cfg.trials - 1)) * 1.0001

@@ -188,10 +188,9 @@ def test_numeric_mean_capacity_degenerate_system(default_system):
     vlc = dataclasses.replace(default_system.vlc, cell_radius_m=1e-9)
     s = dataclasses.replace(default_system, plc=plc, vlc=vlc)
     from plcvlc.plc_link import snr_scale
-    from plcvlc.vlc_link import gain_sq_support
 
     c_plc = math.log2(1.0 + snr_scale(plc) * 10.0 ** (plc.fading_mu_db / 5.0))
-    c_vlc = math.log2(1.0 + vlc.tx_power_w / vlc.noise_variance * gain_sq_support(vlc)[1])
+    c_vlc = math.log2(1.0 + vlc.tx_power_w / vlc.noise_variance * vlc.law.t_max)
     expected = s.duplex_factor * min(c_plc, c_vlc)
     assert e2e_avg_capacity_numeric(s) == pytest.approx(expected, rel=1e-9)
 

@@ -17,7 +17,6 @@ from plcvlc.vlc_link import (
     gain_sq_cdf,
     gain_sq_law,
     gain_sq_pdf,
-    gain_sq_support,
     lambertian_order,
     outage,
 )
@@ -206,7 +205,7 @@ def test_gain_matches_product_form():
 
 def test_support_default_point():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     ref_min, ref_max = support_closed_expressions(p)
     assert t_min == pytest.approx(ref_min, rel=1e-12)
     assert t_max == pytest.approx(ref_max, rel=1e-12)
@@ -215,7 +214,7 @@ def test_support_default_point():
 
 def test_support_degenerate_cell():
     p = make_params(cell_radius_m=1e-9)
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     assert t_min == pytest.approx(t_max, rel=1e-12)
 
 
@@ -225,15 +224,15 @@ def test_support_scaling_law():
     for factor in (0.5, 2.0, 3.7):
         scaled = make_params(cell_radius_m=factor * p.cell_radius_m,
                              height_m=factor * p.height_m)
-        t_min, t_max = gain_sq_support(p)
-        s_min, s_max = gain_sq_support(scaled)
+        t_min, t_max = p.law.t_min, p.law.t_max
+        s_min, s_max = scaled.law.t_min, scaled.law.t_max
         assert s_min == pytest.approx(t_min * factor ** -4, rel=1e-9)
         assert s_max == pytest.approx(t_max * factor ** -4, rel=1e-9)
 
 
 def test_pdf_normalizes_to_one():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     total, err = integrate.quad(lambda x: gain_sq_pdf(x, p), t_min, t_max,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
     assert err < 1e-10
@@ -242,7 +241,7 @@ def test_pdf_normalizes_to_one():
 
 def test_pdf_zero_outside_support():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     assert gain_sq_pdf(t_min * 0.99, p) == 0.0
     assert gain_sq_pdf(t_max * 1.01, p) == 0.0
     assert gain_sq_pdf(0.0, p) == 0.0
@@ -268,7 +267,7 @@ def _inverse_cdf_params(p):
     m = lambertian_order(p.semi_angle_rad)
     amplitude = front_end_q(p) * (m + 1.0) * p.height_m ** (m + 1.0)
     c_const = amplitude ** (2.0 / (m + 3.0))
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     return m, c_const, t_min, t_max
 
 
@@ -282,7 +281,7 @@ def _inverse_cdf(u, m, c_const, t_min, t_max, p):
 
 def test_cdf_endpoints_and_median():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     assert gain_sq_cdf(t_min, p) == 0.0
     assert gain_sq_cdf(t_max, p) == 1.0
     assert gain_sq_cdf(t_min * 0.5, p) == 0.0
@@ -294,7 +293,7 @@ def test_cdf_endpoints_and_median():
 
 def test_cdf_monotone_and_matches_pdf_derivative():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     xs = np.exp(np.linspace(math.log(t_min * 1.01), math.log(t_max * 0.99), 1000))
     cdf = gain_sq_cdf(xs, p)
     assert np.all(np.diff(cdf) > 0)
@@ -308,7 +307,7 @@ def test_cdf_monotone_and_matches_pdf_derivative():
 def test_cdf_scalar_path_equals_array_path(semi_angle_deg):
     # The scalar path (every vlc_link.outage call) must keep the array path's bits.
     p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     xs = np.concatenate([
         np.exp(np.random.default_rng(5).uniform(math.log(t_min), math.log(t_max), 5000)),
         [0.0, t_min, np.nextafter(t_min, math.inf), np.nextafter(t_max, 0.0), t_max, 2.0 * t_max],
@@ -353,7 +352,7 @@ def test_capacity_vanishes_without_power():
 
 def test_capacity_degenerate_cell():
     p = make_params(cell_radius_m=1e-6)
-    _, t_max = gain_sq_support(p)
+    t_max = p.law.t_max
     expected = math.log2(1.0 + p.tx_power_w / p.noise_variance * t_max)
     assert avg_capacity_quad(p) == pytest.approx(expected, rel=1e-9)
 
@@ -388,7 +387,7 @@ def closed_form_reference(p):
     t**-beta * ((F - 1)/beta - log1p(z)), and the density's mass is
     t_min**-beta - t_max**-beta.
     """
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     with mp.workdps(30):
         rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
         beta = 1 / (mp.mpf(lambertian_order(p.semi_angle_rad)) + 3)
@@ -442,7 +441,7 @@ def u_integral_reference(p):
     The squared-gain density is constant in u = t**(-1/(m+3)); on a point-mass
     support the mean is log2(1 + rho * t_max).
     """
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     with mp.workdps(30):
         rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
         if t_min == t_max:
@@ -492,7 +491,7 @@ def test_quadrature_resolves_narrow_beams(semi_angle_deg):
 def test_closed_equals_quadrature_where_the_old_gain_law_left_the_normal_range(overrides):
     p = make_params(**overrides)
     m = lambertian_order(p.semi_angle_rad)
-    _, t_max = gain_sq_support(p)
+    t_max = p.law.t_max
     assert t_max == pytest.approx((front_end_q(p) * (m + 1.0)) ** 2 / p.height_m ** 4, rel=1e-12)
     assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-11)
 
@@ -527,7 +526,7 @@ def test_capacity_matches_sampling_mean():
 
 def test_outage_clamps():
     p = make_params()
-    t_min, t_max = gain_sq_support(p)
+    t_min, t_max = p.law.t_min, p.law.t_max
     rho = p.tx_power_w / p.noise_variance
     assert outage(p, t_max * rho * 1.001) == 1.0
     assert outage(p, t_min * rho * 0.999) == 0.0
