@@ -5,20 +5,19 @@ min(SNR_plc, SNR_vlc), since the decode-and-forward relay forwards only what
 both hops carry.  A capacity is the mean of level * (log1p(snr) / ln 2), an
 outage the share of trials with snr below the SNR threshold.  Each batch
 runs in place in the five rows of one work array that its thread reuses
-from batch to batch (normals, e2e uniforms, PLC SNR, VLC SNR, values), and
+from batch to batch (normals, uniforms, PLC SNR, VLC SNR, values), and
 sums pairwise in NumPy, never in BLAS, whose bits could depend on the build.
 
 Determinism contract: every reported Estimate is a pure function of
 (seed, trials, batch_size, parameters, metric), whichever other requests
 share its sampling pass.  Batch b draws from its own counter-based Philox
 stream keyed by (seed, b) through a NumPy SeedSequence spawn key, and each
-metric reads fixed positions of it: PLC and end-to-end metrics the normals
-drawn first, end-to-end metrics the uniforms drawn after them, VLC-only
-metrics the uniforms at the start of the stream, drawn again for each VLC
-hop.  One pass (``estimate_many``) therefore serves every request from one
-batch without changing a bit.  Batch partial sums are combined with
-math.fsum, which is exactly rounded, so one worker thread or many give
-bit-identical estimates.
+metric reads fixed positions of it: a hop's PLC SNR the normals drawn
+first, its VLC SNR the uniforms drawn after them, whether the metric reads
+one hop or both.  One pass (``estimate_many``) therefore serves every
+request from one draw of each without changing a bit.  Batch partial sums
+are combined with math.fsum, which is exactly rounded, so one worker thread
+or many give bit-identical estimates.
 """
 
 from __future__ import annotations
@@ -169,11 +168,10 @@ def _batch_partials(
     start = batch_index * cfg.batch_size
     count = min(cfg.batch_size, cfg.trials - start)
     normals, uniforms, plc_snr, vlc_snr, values = work[:, :count]
-    # Fixed positions: the normals first and the e2e uniforms after them.
+    # Fixed positions: the normals first and the uniforms after them.
     rng = _batch_rng(int(cfg.seed), batch_index)
-    if any(plc is not None for _, plc, _, _ in keys):
-        rng.standard_normal(out=normals)
-    if any(plc is not None and vlc is not None for _, plc, vlc, _ in keys):
+    rng.standard_normal(out=normals)
+    if any(vlc is not None for _, _, vlc, _ in keys):
         rng.random(out=uniforms)
     # What the PLC, VLC and values rows hold.  The samplers are looked up by
     # name on every call, so a tracer that wraps them sees each batch's
@@ -185,13 +183,9 @@ def _batch_partials(
         if plc is not None and plc != plc_row:
             sample_plc_snr(plc, normals, out=plc_snr)
             plc_row = plc
-        if vlc is not None and (plc is None, vlc) != vlc_row:
-            if plc is None:
-                # The vlc-only uniforms start the stream: a second generator
-                # with the same key draws them.
-                _batch_rng(int(cfg.seed), batch_index).random(out=vlc_snr)
-            sample_vlc_snr(vlc, vlc_snr if plc is None else uniforms, out=vlc_snr)
-            vlc_row = (plc is None, vlc)
+        if vlc is not None and vlc != vlc_row:
+            sample_vlc_snr(vlc, uniforms, out=vlc_snr)
+            vlc_row = vlc
         if plc is not None and vlc is not None:
             if path != (plc, vlc):
                 np.minimum(plc_snr, vlc_snr, out=values)
@@ -266,25 +260,21 @@ def estimate_many(
 ) -> list[Estimate]:
     """Monte Carlo estimates of (metric, system) requests from one sampling pass.
 
-    Each batch draws its normals and e2e uniforms once, and each estimate
+    Each batch draws its normals and uniforms once, and each estimate
     equals the standalone ``estimate`` of its request bit for bit.  The keys
-    run grouped by VLC hop (VLC-only and end-to-end apart), then by PLC hop,
-    each in order of first request, with a path's outages before its
-    capacities, so a batch recomputes a hop's SNR only where the group
-    changes.  Batches run on up to ``workers`` threads, never more threads
-    than batches.
+    run grouped by VLC hop, then by PLC hop, each in order of first request,
+    with a path's outages before its capacities, so a batch recomputes a
+    hop's SNR only where the group changes.  Batches run on up to
+    ``workers`` threads, never more threads than batches.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
     first: dict[object, int] = {}
     for _, plc, vlc, _ in slots:
-        first.setdefault((plc is None, vlc), len(first))
+        first.setdefault(vlc, len(first))
         first.setdefault(plc, len(first))
-    keys = sorted(
-        dict.fromkeys(slots),
-        key=lambda k: (first[k[1] is None, k[2]], first[k[1]], k[0] != "outage"),
-    )
+    keys = sorted(dict.fromkeys(slots), key=lambda k: (first[k[2]], first[k[1]], k[0] != "outage"))
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 

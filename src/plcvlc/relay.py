@@ -28,12 +28,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Gauss-Legendre nodes per panel of the end-to-end mean; its error estimate
-# compares with twice as many.
+# Gauss-Legendre nodes per panel of the end-to-end mean.
 _E2E_ORDER = 48
 # The end-to-end mean drops the PLC survival beyond this many spreads above
 # its median (Phi(-9) = 1e-19), and the integrand below this many nepers of
-# SNR under the lower of the PLC median and the cell edge (exp(-40) = 4e-18).
+# SNR under the lowest of the PLC median, the cell edge and 0 dB: what it
+# drops is about exp(y_low)/ln 2 bits, 6e-18 at most.
 _NORMAL_TAIL = 9.0
 _LOGISTIC_TAIL = 40.0
 
@@ -114,12 +114,12 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     beta = 1/(m+3), as in ``vlc_link.avg_capacity_quad``, where the VLC
     survival is linear and dt/du = expit(y)/(beta*u*ln 2).  The rule is cut
     at the median, 9 spreads either side of it (the PLC survival beyond is
-    dropped, as is the integrand 40 nepers below the lower of the median and
-    the edge) and, above the edge, at the knee u = rho**beta, beside which
-    the poles of expit(y) lie, and geometrically toward u = 0.  Against a
-    30-digit mpmath reference it was within 6e-14 relative on 900 random
-    systems, fading spreads up to 12 dB and cell radii up to 300 m among
-    them (README).  Where both hops are point masses (zero PLC spread, a
+    dropped, as is the integrand 40 nepers below the lowest of the median,
+    the edge and 0 dB), at 0 dB, beside which the poles of expit(y) lie (at
+    the knee u = rho**beta above the edge), and geometrically toward u = 0.
+    Against a 30-digit mpmath reference it was within 6e-14 relative on 900
+    random systems, fading spreads up to 12 dB and cell radii up to 300 m
+    among them (README).  Where both hops are point masses (zero PLC spread, a
     one-point VLC support) it is the capacity of the smaller SNR, in the
     sampler's bits.
     """
@@ -129,12 +129,6 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
         snr = min(plc_link._point_mass(centre), rho * t_max)
         return s.duplex_factor * (float(np.log1p(snr)) / _LN2)
     return s.duplex_factor * _survival_integral(s, _E2E_ORDER)
-
-
-def _e2e_mean_and_error(s: RelaySystemParams) -> tuple[float, float]:
-    """The mean and its error estimate, the distance to the rule with twice the nodes."""
-    value, finer = (_survival_integral(s, order) for order in (_E2E_ORDER, 2 * _E2E_ORDER))
-    return s.duplex_factor * value, s.duplex_factor * abs(finer - value)
 
 
 def _survival_integral(s: RelaySystemParams, order: int) -> float:
@@ -159,8 +153,8 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
     tail = _NORMAL_TAIL * spread
     y_edge = math.log(rho * t_min)
     y_high = min(y_edge, centre + tail)
-    y_low = min(y_edge, centre) - _LOGISTIC_TAIL
-    y, w = gauss_legendre_panels(y_low, y_high, order, (centre - tail, centre))
+    y_low = min(y_edge, centre, 0.0) - _LOGISTIC_TAIL
+    y, w = gauss_legendre_panels(y_low, y_high, order, (centre - tail, centre, 0.0))
     total = float(w @ (plc_survival(y) * _expit(y))) / _LN2
 
     u_low, u_high = t_max ** -beta, t_min ** -beta

@@ -111,7 +111,7 @@ class SweepRecord:
 
     @property
     def outage_agrees(self) -> bool:
-        return abs(self.e2e_outage - self.mc_e2e_outage.mean) <= 3.0 * self.mc_e2e_outage.std_error
+        return _outage_agrees(self.e2e_outage, self.mc_e2e_outage)
 
     @property
     def capacity_within_bound(self) -> bool:
@@ -119,6 +119,16 @@ class SweepRecord:
             self.mc_e2e_capacity.mean
             <= self.e2e_capacity_bound + 3.0 * self.mc_e2e_capacity.std_error
         )
+
+
+def _outage_agrees(probability: float, sampled: Estimate) -> bool:
+    """|p - mean| <= 3 SE, the SE at least the binomial one at the analytic p.
+
+    A sample whose trials all agree reports SE 0, which no p strictly
+    between 0 and 1 would otherwise meet.
+    """
+    binomial = math.sqrt(max(probability * (1.0 - probability), 0.0) / sampled.trials)
+    return abs(probability - sampled.mean) <= 3.0 * max(sampled.std_error, binomial)
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,8 @@ def run_validation(
 ) -> tuple[list[ValidationRow], bool]:
     """Compare all six metrics against Monte Carlo, plus closed form vs quadrature.
 
-    A metric row agrees when |analytic - sampled| <= 3 standard errors; the
+    A metric row agrees when |analytic - sampled| <= 3 standard errors, an
+    outage's at least the binomial one at the analytic probability; the
     closed-form row agrees when it matches the Gauss-Legendre quadrature to
     ``CLOSED_VS_QUAD_RTOL`` relative.
     """
@@ -292,7 +303,10 @@ def run_validation(
             analytic=value,
             reference=est.mean,
             std_error=est.std_error,
-            agrees=abs(value - est.mean) <= 3.0 * est.std_error,
+            agrees=(
+                _outage_agrees(value, est) if metric.endswith("outage")
+                else abs(value - est.mean) <= 3.0 * est.std_error
+            ),
         )
         for (metric, value), est in zip(analytic.items(), sampled)
     ]

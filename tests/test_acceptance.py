@@ -129,7 +129,7 @@ def test_gain_distribution_correctness(system):
 
 
 # ---------------------------------------------------------------------------
-# 4. Gauss-Hermite convergence of the power-line capacity
+# 4. Quadrature convergence of the power-line capacity
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0, 6.0])

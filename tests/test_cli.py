@@ -77,6 +77,16 @@ def test_sweep_agreement_flags(default_system):
     assert report.all_agree
 
 
+def test_sweep_outage_agrees_with_a_sample_without_hits(default_system):
+    # At 0.01 bits the analytic outage is 9.7e-7 and none of the 100k trials
+    # is a hit (probability 0.91), a sample whose standard error is 0.
+    mc = McConfig(trials=100_000, seed=1)
+    report = run_sweep(SweepSpec("rate_threshold", 0.01, 0.05, 3), default_system, mc)
+    first = report.records[0]
+    assert first.mc_e2e_outage.mean == first.mc_e2e_outage.std_error == 0.0 < first.e2e_outage
+    assert report.all_agree
+
+
 def test_csv_echoes_parameters_and_is_stable(default_system):
     mc = McConfig(trials=2000, seed=4)
     spec = SweepSpec("relay_power", 0.05, 0.1, 2, "led_height", (2.15, 3.0))
@@ -493,7 +503,9 @@ def test_bad_sweep_value_names_its_variable(capsys, variable, args):
 # fading spread the analytic PLC capacity was an ulp or two off the sampled
 # point mass, and with the median SNR within an ulp of the outage threshold 3
 # the analytic outage step fell on the other side of it.  With both hops point
-# masses the end-to-end integral was 95 ulps off a sample with no spread.
+# masses the end-to-end integral was 95 ulps off a sample with no spread.  On
+# 1.4 km of cable every trial was an outage, a sample with standard error 0
+# against an analytic 0.99999997.
 @pytest.mark.parametrize(
     "line",
     ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "cell_radius_m = 1e-7",
@@ -509,7 +521,12 @@ def test_bad_sweep_value_names_its_variable(capsys, variable, args):
          "plc_median_snr_db = 4.771212547196624",
          id="fading_sigma_db = 0 at a median SNR of 3, mu > 0",
      ),
-     "fading_sigma_db = 0\ncell_radius_m = 1e-9"],
+     "fading_sigma_db = 0\ncell_radius_m = 1e-9",
+     pytest.param(
+         "plc_noise_variance = 0.007108359231342923\nplc_distance_m = 1366.6\n"
+         "fading_sigma_db = 10.75\nfading_mu_db = -25.82",
+         id="1.4 km of cable, every trial an outage",
+     )],
 )
 def test_validate_at_narrow_cells_and_beams(tmp_path, capsys, line):
     path = tmp_path / "narrow.cfg"

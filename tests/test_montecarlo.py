@@ -323,8 +323,9 @@ def test_path_snr_has_the_bits_of_the_hop_by_hop_reductions():
 
 def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
     # One batch, reduced hop by hop from the documented stream positions:
-    # the normals first, the e2e uniforms after them.  At a vanishing relay
-    # power log2(1 + snr) would round every capacity to 0; log1p does not.
+    # the normals first, the uniforms after them, which a VLC-only metric
+    # reads too.  At a vanishing relay power log2(1 + snr) would round every
+    # capacity to 0; log1p does not.
     cfg = McConfig(trials=8192, seed=21, batch_size=8192)
     dim = dataclasses.replace(
         default_system, vlc=dataclasses.replace(default_system.vlc, tx_power_w=1e-20)
@@ -342,6 +343,8 @@ def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
                    float(capacity.min()), float(capacity.max()))
         assert estimate("e2e_avg_capacity", system, cfg) == montecarlo._combine([partial], cfg)
         assert estimate("e2e_outage", system, cfg).mean == hits / cfg.trials
+        vlc_hits = np.count_nonzero(vlc < threshold)
+        assert estimate("vlc_outage", system, cfg).mean == vlc_hits / cfg.trials
     assert partial[0] > 0.0
 
 

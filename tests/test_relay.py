@@ -212,7 +212,9 @@ def test_numeric_mean_capacity_error_estimate(default_system):
         default_system, plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
     )
     for s in (default_system, deterministic_plc):
-        value, error = relay._e2e_mean_and_error(s)
+        # The error estimate is the distance to the rule with twice the nodes.
+        value, finer = (s.duplex_factor * relay._survival_integral(s, order) for order in (48, 96))
+        error = abs(finer - value)
         assert value == e2e_avg_capacity_numeric(s)
         assert 0.0 <= error <= 1e-12 * value
 
@@ -305,3 +307,26 @@ def test_numeric_mean_capacity_matches_split_reference(
         vlc=dataclasses.replace(s.vlc, semi_angle_rad=math.radians(semi_angle_deg)),
     )
     assert e2e_avg_capacity_numeric(s) == pytest.approx(_survival_product_reference(s), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "sigma_db,mu_db,plc_mean",
+    [
+        # Cut 40 nepers below the PLC median alone, the rule dropped 2.5e-12
+        # of the mean below 0 dB.
+        (6.21, 29.9, 23.187067067733637),
+        # Cut 40 nepers below 0 dB but not at 0 dB, a panel 28 nepers wide
+        # met the poles of expit(y) at +-i*pi: 1.3e-10 off.
+        (0.5, 29.0, 22.5891112800283),
+    ],
+)
+def test_numeric_mean_capacity_at_a_high_plc_median(default_system, sigma_db, mu_db, plc_mean):
+    # The VLC edge lies beyond the PLC support, so the integral is the PLC
+    # mean (40-digit mpmath).
+    s = dataclasses.replace(
+        default_system,
+        plc=dataclasses.replace(default_system.plc, fading_sigma_db=sigma_db, fading_mu_db=mu_db),
+        vlc=dataclasses.replace(default_system.vlc, tx_power_w=1e19),
+    )
+    value = e2e_avg_capacity_numeric(s) / s.duplex_factor
+    assert value == pytest.approx(plc_mean, rel=2e-15)
