@@ -194,30 +194,45 @@ def _batch_partials(
         else:
             snr = vlc_snr if plc is None else plc_snr
         if kind == "avg_capacity":
-            # min does not round, and log1p, the division and the product are
-            # monotone: these are the bits of level * min of the hop capacities.
-            np.log1p(snr, out=values)
-            np.divide(values, _LN2, out=values)
-            np.multiply(values, level, out=values)
+            high = _capacities(snr, level, plc, normals, values, below)
             path = None
-            high = float(values.max())
-            if high == math.inf:
-                # Only the PLC sampler overflows, and a path with a VLC hop is
-                # finite, so this is a PLC-only path (level 1).  Where exp(y)
-                # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
-                overflowed = np.isinf(values, out=below)
-                _plc_log_snr(plc, normals, values, where=overflowed)
-                np.divide(values, _LN2, out=values, where=overflowed)
-                high = float(values.max())
             total, low = float(np.sum(values)), float(values.min())
             np.multiply(values, values, out=values)
-            partials.append((total, float(np.sum(values)), low, high))
+            total_sq = float(np.sum(values))
+            if total_sq - total * total / count < _RESOLVED * total_sq:
+                # The spread is lost in rounding (a narrow cell), maybe below
+                # the pairwise sum's: sum again, exactly rounded (``_combine``).
+                if snr is values:
+                    np.minimum(plc_snr, vlc_snr, out=values)
+                _capacities(snr, level, plc, normals, values, below)
+                total = math.fsum(values.tolist())
+            partials.append((total, total_sq, low, high))
         else:
             # No sampler returns NaN, so the path is below the threshold iff a
             # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
             hits = int(np.count_nonzero(np.less(snr, level, out=below)))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0)))
     return partials
+
+
+def _capacities(snr, level, plc, normals, values, below) -> float:
+    """level * log1p(snr) / ln 2 into ``values`` (which may be ``snr``); its maximum.
+
+    min does not round, and log1p, the division and the product are monotone:
+    these are the bits of level * min of the hop capacities."""
+    np.log1p(snr, out=values)
+    np.divide(values, _LN2, out=values)
+    np.multiply(values, level, out=values)
+    high = float(values.max())
+    if high == math.inf:
+        # Only the PLC sampler overflows, and a path with a VLC hop is
+        # finite, so this is a PLC-only path (level 1).  Where exp(y)
+        # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
+        overflowed = np.isinf(values, out=below)
+        _plc_log_snr(plc, normals, values, where=overflowed)
+        np.divide(values, _LN2, out=values, where=overflowed)
+        high = float(values.max())
+    return high
 
 
 def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -> Estimate:
@@ -228,11 +243,12 @@ def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -
     capacity's log1p(snr) / ln 2 is within 1.5 ulps (log1p within 1 ulp, the
     division half an ulp), every value has one sign, so their mean is too, and
     the mean itself adds half an ulp (fsum is exactly rounded, then one
-    division).  NumPy's pairwise batch sums came within 1 ulp of exact on
-    narrow cells, which a 3-standard-error test still covers.  A sample
-    spanning a few ulps (a narrow cell) has a smaller sampling error than
-    this bound; at any real spread the sampling error is far larger, and the
-    standard error keeps its bits.
+    division).  Where the floor acts the batch sums are exactly rounded too:
+    a batch whose own spread is lost in rounding is re-summed by math.fsum
+    (``_batch_partials``), not left to NumPy's pairwise sum, which came up to
+    1 ulp off on narrow cells.  A sample spanning a few ulps (a narrow cell)
+    has a smaller sampling error than this bound; at any real spread the
+    sampling error is far larger, and the standard error keeps its bits.
     """
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)

@@ -8,6 +8,7 @@ the threshold implied by the rate target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 # Gauss-Legendre nodes per panel of the end-to-end mean.
-_E2E_ORDER = 48
-# The end-to-end mean drops the PLC survival beyond this many spreads above
-# its median (Phi(-9) = 1e-19), and the integrand below this many nepers of
-# SNR under the lowest of the PLC median, the cell edge and 0 dB: what it
-# drops is about exp(y_low)/ln 2 bits, 6e-18 at most.
+_E2E_ORDER = 16
+# The end-to-end mean's rule starts this many PLC spreads below the median:
+# below it the PLC survival is 1 but for Phi(-9) = 1e-19.
 _NORMAL_TAIL = 9.0
-_LOGISTIC_TAIL = 40.0
 
 
 @dataclass(frozen=True)
@@ -103,25 +102,12 @@ def e2e_outage_analytic(s: RelaySystemParams) -> float:
 def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     """Mean end-to-end capacity E[duplex_factor * min(C_plc, C_vlc)].
 
-    Computed as duplex_factor * integral over t of P(C_plc > t) * P(C_vlc > t)
-    from the per-hop SNR CDFs (the hops are independent and the VLC capacity
-    is bounded), with a fixed composite Gauss-Legendre rule; it is the
-    analytic counterpart of the sampled estimate.  The PLC survival is a
-    normal CDF in y = ln(snr), ``PlcLinkParams.law`` (a step at its centre
-    at zero spread); the VLC survival is 1 up to the cell-edge
-    capacity.  Below the edge the integral is taken in y, where
-    dt/dy = expit(y)/ln 2; above it in u = (snr/rho)**(-beta),
-    beta = 1/(m+3), as in ``vlc_link.avg_capacity_quad``, where the VLC
-    survival is linear and dt/du = expit(y)/(beta*u*ln 2).  The rule is cut
-    at the median, 9 spreads either side of it (the PLC survival beyond is
-    dropped, as is the integrand 40 nepers below the lowest of the median,
-    the edge and 0 dB), at 0 dB, beside which the poles of expit(y) lie (at
-    the knee u = rho**beta above the edge), and geometrically toward u = 0.
-    Against a 30-digit mpmath reference it was within 6e-14 relative on 900
-    random systems, fading spreads up to 12 dB and cell radii up to 300 m
-    among them (README).  Where both hops are point masses (zero PLC spread, a
-    one-point VLC support) it is the capacity of the smaller SNR, in the
-    sampler's bits.
+    The analytic counterpart of the sampled estimate: the integral over t of
+    P(C_plc > t) * P(C_vlc > t), by one Gauss-Legendre rule in the PLC's
+    normal variable z (README, "End-to-end mean capacity", for the method
+    and its measured accuracy).  Where both hops are point masses (zero PLC
+    spread, a one-point VLC support) it is the capacity of the smaller SNR,
+    in the sampler's bits.
     """
     centre, spread = s.plc.law
     _, _, _, _, t_min, t_max, rho = s.vlc.law
@@ -132,53 +118,45 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
 
 
 def _survival_integral(s: RelaySystemParams, order: int) -> float:
-    """Integral over t of P(C_plc > t) * P(C_vlc > t), ``order`` nodes per panel."""
-    m, _, _, _, t_min, t_max, rho = s.vlc.law
-    beta = 1.0 / (m + 3.0)
-    centre, spread = s.plc.law
-
-    def plc_survival(y: np.ndarray) -> np.ndarray:
-        # 0.5 * erfc((y - centre) / (spread * sqrt 2)) where that is neither 1
-        # nor 0 in double precision (it is 1 - 1e-19 nine spreads below the
-        # centre and 1e-349 forty above), else the step at the centre.  At a
-        # zero or subnormal spread it is the step everywhere, with no quotient
-        # to overflow.
-        survival = (y <= centre).astype(float)
-        normal = (y > centre - _NORMAL_TAIL * spread) & (y < centre + 40.0 * spread)
-        args = ((y[normal] - centre) / (spread * math.sqrt(2.0))).tolist()
-        survival[normal] = 0.5 * np.fromiter(map(math.erfc, args), float, len(args))
-        return survival
-
-    # [0, edge], where the VLC hop always survives, in y.
-    tail = _NORMAL_TAIL * spread
-    y_edge = math.log(rho * t_min)
-    y_high = min(y_edge, centre + tail)
-    y_low = min(y_edge, centre, 0.0) - _LOGISTIC_TAIL
-    y, w = gauss_legendre_panels(y_low, y_high, order, (centre - tail, centre, 0.0))
-    total = float(w @ (plc_survival(y) * _expit(y))) / _LN2
-
-    u_low, u_high = t_max ** -beta, t_min ** -beta
+    """E[min(C_plc, C_vlc)] in bits, ``order`` nodes per panel (README)."""
+    m, spread = s.plc.law
+    vlc_m, _, _, _, t_min, t_max, rho = s.vlc.law
     log_rho = math.log(rho)
-
-    def u_at(y: float) -> float:
-        return math.exp(beta * (log_rho - y))
-
-    u_start = max(u_low, u_at(centre + tail))
-    if u_start < u_high:
-        # A split at or below the edge lies past u_high, where exp may overflow.
-        splits = tuple(u_at(y) for y in (0.0, centre, centre - tail) if y > y_edge)
-        u, w = gauss_legendre_panels(u_start, u_high, order, splits, grading=vlc_link.U_GRADING)
-        y = log_rho - np.log(u) / beta
-        keep_vlc = (u - u_low) / (u_high - u_low)
-        dt_du = _expit(y) / (beta * u * _LN2)
-        total += float(w @ (plc_survival(y) * keep_vlc * dt_du))
-    return total
-
-
-def _expit(y: np.ndarray) -> np.ndarray:
-    """The logistic function 1/(1 + exp(-y)).
-
-    -y is capped at 709, below exp's overflow; where that acts, the value is
-    1.2e-308 instead of less, which no sum here can see.
-    """
-    return 1.0 / (1.0 + np.exp(np.minimum(-y, 709.0)))
+    y_edge, y_top = log_rho + math.log(t_min), log_rho + math.log(t_max)
+    if not spread >= sys.float_info.min:
+        # A zero or subnormal spread: the PLC SNR is its point mass.
+        return vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, plc_link._point_mass(m))
+    z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
+    if z_edge < -_NORMAL_TAIL:
+        # The PLC hop survives below z = -9, so up to exp(m - 9s) the integral
+        # is the VLC capacity clipped there.
+        clip = plc_link._point_mass(m - _NORMAL_TAIL * spread)
+        bits, nepers = vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, clip), 0.0
+        if z_top <= -_NORMAL_TAIL:
+            return bits
+    else:
+        # By parts, the integral below the edge is the PLC mean clipped there.
+        bits, nepers = 0.0, 0.5 * math.erfc(z_edge / _SQRT2) * float(np.logaddexp(0.0, y_edge))
+    # The PLC mean's rule (``plc_link.avg_capacity``), ending at the top of
+    # the cell and also cut at its edge.
+    kink = -m / spread
+    z, w = gauss_legendre_panels(
+        -_NORMAL_TAIL, min(max(0.0, min(spread, kink)) + _NORMAL_TAIL, z_top), order,
+        (0.0, z_edge, *(kink + y / spread for y in plc_link._KINK_CUTS)),
+    )
+    below = int(np.searchsorted(z, z_edge))
+    y = m + spread * z
+    normal = w[:below] * np.exp(-0.5 * z[:below] ** 2)
+    nepers += float(normal @ np.logaddexp(0.0, y[:below])) / plc_link._SQRT_2PI
+    beta = 1.0 / (vlc_m + 3.0)
+    u_low, u_high = t_max ** -beta, t_min ** -beta
+    if u_low < u_high:
+        # Above it, P(C_plc > t) * P(C_vlc > t) * dt/dz, with the VLC survival
+        # linear in u = (snr/rho)**-beta and dt/dy = expit(y) nepers.
+        z, y = z[below:], y[below:]
+        survival = np.fromiter(map(math.erfc, (z / _SQRT2).tolist()), float, z.size)
+        survival *= np.exp(beta * (log_rho - y)) - u_low
+        snr = np.exp(y)
+        survival *= snr / (1.0 + snr)
+        nepers += 0.5 * spread / (u_high - u_low) * float(w[below:] @ survival)
+    return bits + nepers / _LN2

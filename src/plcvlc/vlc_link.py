@@ -45,8 +45,8 @@ _NARROW_ORDER = 8
 # within 3e-14 of mpmath below it, and the closed form within 3e-13 above it.
 _NARROW_WIDTH = 1e-2
 # u = t**(-1/(m+3)) has a branch point at 0 (it is proportional to r^2 + L^2),
-# so rules in u cut at u_low * U_GRADING**k.
-U_GRADING = 4.0
+# so rules in u cut at u_low * _U_GRADING**k.
+_U_GRADING = 4.0
 
 
 class VlcLaw(NamedTuple):
@@ -233,42 +233,37 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + rho * h^2)] by composite Gauss-Legendre.
 
     rho = P_r / sigma_d^2.  Integrates log(1 + rho*t) against the squared-gain
-    density over [t_min, t_max]; the substitution u = t**(-1/(m+3)) makes the
-    density contribution constant, so the integrand stays well conditioned
-    even when the support spans many decades.  The integrand's branch points
-    lie at |u| = rho**(1/(m+3)), at an angle pi/(m+3) off the real axis, so
-    the rule splits there (the knee, where rho*t = 1), at u_low *
-    U_GRADING**k and, since log1p(rho * u**-(m+3)) falls over a relative
-    width 1/(m+3) from u_low, at u_low * (1 + 4**k/(m+3)) for 4**k < m+3.
-    Each segment gets two panels of ``_QUAD_ORDER`` nodes.  Against the
-    closed form it was within 1.9e-11 relative on 8000 random cells
-    (semi-angles 3-80 degrees, radii 0.5-10 m, heights 1-5 m, relay powers
-    1e-8 to 1e8 W); without the u_low cuts it was 2.5e-4 off at 4 degrees.
-    No duplexing factor is applied here; time sharing is accounted for at the
+    density in u = t**(-1/(m+3)), where the density is constant, with
+    ``_QUAD_ORDER`` nodes per panel, cut at the knee rho*t = 1, at u_low *
+    _U_GRADING**k and at u_low * (1 + 4**k/(m+3)) for 4**k < m+3; the README
+    ("VLC quadrature") gives the reasons and its measured accuracy.  No
+    duplexing factor is applied here; time sharing is accounted for at the
     system level.
     """
     return _capacity_by_rule(p, _QUAD_ORDER)
 
 
-def _capacity_by_rule(p: VlcLinkParams, order: int) -> float:
-    """``avg_capacity_quad`` with ``order`` nodes per panel."""
+def _capacity_by_rule(p: VlcLinkParams, order: int, snr_clip: float = math.inf) -> float:
+    """``avg_capacity_quad``, ``order`` nodes per panel, of min(C, log2(1 + snr_clip))."""
     m, _, _, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     u_low = t_max ** -beta
     u_high = t_min ** -beta
     width = u_high - u_low
-    if width <= 0.0:
-        # Point-mass support (vanishing cell): every user sees t_max.
-        return math.log1p(rho * t_max) / math.log(2.0)
-    cuts = [rho ** beta]
+    if width <= 0.0 or snr_clip <= rho * t_min:
+        # A point-mass support (vanishing cell), where every user sees t_max,
+        # or a clip below the support.
+        return math.log1p(min(rho * t_max, snr_clip)) / math.log(2.0)
+    cuts = [rho ** beta, (snr_clip / rho) ** -beta]
     layer = beta
     while layer < 1.0:
         cuts.append(u_low * (1.0 + layer))
         layer *= 4.0
-    u, w = gauss_legendre_panels(u_low, u_high, order, cuts, grading=U_GRADING)
+    u, w = gauss_legendre_panels(u_low, u_high, order, cuts, grading=_U_GRADING)
+    capacity = np.minimum(np.log1p(rho * u ** (-(m + 3.0))), math.log1p(snr_clip))
     # c_const * width / r^2 is exactly the unit probability mass; normalizing
     # by the computed width keeps the mean exact when the support is narrow.
-    return float(w @ np.log1p(rho * u ** (-(m + 3.0)))) / (width * math.log(2.0))
+    return float(w @ capacity) / (width * math.log(2.0))
 
 
 def avg_capacity_closed(p: VlcLinkParams) -> float:

@@ -208,15 +208,18 @@ def test_numeric_mean_capacity_at_subnormal_spread_is_the_step(default_system):
 
 
 def test_numeric_mean_capacity_error_estimate(default_system):
-    deterministic_plc = dataclasses.replace(
+    # The error estimate is the distance to the rule with twice the nodes.
+    order = relay._E2E_ORDER
+    value, finer = (default_system.duplex_factor * relay._survival_integral(default_system, n)
+                    for n in (order, 2 * order))
+    assert value == e2e_avg_capacity_numeric(default_system)
+    assert 0.0 <= abs(finer - value) <= 1e-12 * value
+    # At zero spread there is no rule in z: the VLC capacity clipped at the
+    # PLC point mass meets the reference.
+    s = dataclasses.replace(
         default_system, plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
     )
-    for s in (default_system, deterministic_plc):
-        # The error estimate is the distance to the rule with twice the nodes.
-        value, finer = (s.duplex_factor * relay._survival_integral(s, order) for order in (48, 96))
-        error = abs(finer - value)
-        assert value == e2e_avg_capacity_numeric(s)
-        assert 0.0 <= error <= 1e-12 * value
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(_zero_spread_reference(s), rel=1e-13)
 
 
 def test_evaluator_outage_equals_analytic_outage(default_system):
@@ -237,24 +240,61 @@ def test_numeric_mean_capacity_matches_sampling(default_system):
     assert abs(e2e_avg_capacity_numeric(default_system) - est.mean) <= 3.0 * est.std_error
 
 
-def _survival_product_reference(s):
+def _system(default_system, height, radius, power, distance, semi_angle_deg, sigma_db):
+    s = default_system
+    for name, value in (("led_height", height), ("cell_radius", radius),
+                        ("relay_power", power), ("plc_distance", distance)):
+        s = with_variable(s, name, value)
+    return dataclasses.replace(
+        s,
+        plc=dataclasses.replace(s.plc, fading_sigma_db=sigma_db),
+        vlc=dataclasses.replace(s.vlc, semi_angle_rad=math.radians(semi_angle_deg)),
+    )
+
+
+def _physical_model(s):
+    """At the working precision: the PLC SNR scale a and fading mu, sigma (dB),
+    the Lambertian order m, the gain amplitude Q*(m+1)*L**(m+1), L, r and rho."""
+    plc, vlc = s.plc, s.vlc
+    alpha = mp.mpf(plc.atten_a0) + mp.mpf(plc.atten_a1) * mp.mpf(plc.frequency_hz) ** plc.atten_k
+    a = mp.mpf(plc.tx_power_w) * mp.exp(-2 * alpha * plc.distance_m) / plc.noise_variance
+    m = -1 / mp.log(mp.cos(mp.mpf(vlc.semi_angle_rad)), 2)
+    q = (mp.mpf(vlc.detector_area) * vlc.filter_gain * vlc.concentrator_gain
+         * vlc.responsivity / (2 * mp.pi))
+    height, radius = mp.mpf(vlc.height_m), mp.mpf(vlc.cell_radius_m)
+    return (a, mp.mpf(plc.fading_mu_db), mp.mpf(plc.fading_sigma_db), m,
+            q * (m + 1) * height ** (m + 1), height, radius,
+            mp.mpf(vlc.tx_power_w) / vlc.noise_variance)
+
+
+def _zero_spread_reference(s):
+    """40-digit mpmath duplex * E[min(C_plc, C_vlc)] at zero fading spread.
+
+    The PLC SNR is a * 10**(mu/5); the user's v = (r_k/r)**2 is uniform, and
+    the VLC capacity falls in v, below the PLC's from v_star on.
+    """
+    with mp.workdps(40):
+        a, mu, _, m, amplitude, height, radius, rho = _physical_model(s)
+        snr_plc = a * 10 ** (mu / 5)
+
+        def c_vlc(v):
+            return mp.log(1 + rho * amplitude ** 2 * (radius ** 2 * v + height ** 2) ** -(m + 3), 2)
+
+        v_star = ((rho * amplitude ** 2 / snr_plc) ** (1 / (m + 3)) - height ** 2) / radius ** 2
+        v_star = min(max(v_star, 0), 1)
+        mean = v_star * mp.log(1 + snr_plc, 2) + mp.quad(c_vlc, [v_star, 1])
+        return float(s.duplex_factor * mean)
+
+
+def _survival_product_reference(s, dps=30):
     """mpmath quadrature of P(C_plc > t) * P(C_vlc > t), split at the VLC support.
 
     Built from the physical model (Gaussian-dB PLC fading, a uniformly placed
     user under a Lambertian LED), not from the program's outage functions.
     Needs a nonzero fading spread.
     """
-    with mp.workdps(30):
-        plc, vlc = s.plc, s.vlc
-        alpha = mp.mpf(plc.atten_a0) + mp.mpf(plc.atten_a1) * mp.mpf(plc.frequency_hz) ** plc.atten_k
-        a = mp.mpf(plc.tx_power_w) * mp.exp(-2 * alpha * plc.distance_m) / plc.noise_variance
-        mu, sigma = mp.mpf(plc.fading_mu_db), mp.mpf(plc.fading_sigma_db)
-        m = -1 / mp.log(mp.cos(mp.mpf(vlc.semi_angle_rad)), 2)
-        q = (mp.mpf(vlc.detector_area) * vlc.filter_gain * vlc.concentrator_gain
-             * vlc.responsivity / (2 * mp.pi))
-        height, radius = mp.mpf(vlc.height_m), mp.mpf(vlc.cell_radius_m)
-        amplitude = q * (m + 1) * height ** (m + 1)
-        rho = mp.mpf(vlc.tx_power_w) / vlc.noise_variance
+    with mp.workdps(dps):
+        a, mu, sigma, m, amplitude, height, radius, rho = _physical_model(s)
 
         def survival_product(t):
             # expm1 keeps the SNR nonzero at tanh-sinh nodes next to t = 0.
@@ -282,6 +322,13 @@ _ADAPTIVE_QUAD_FAILURES = [
 ]
 
 
+# (height, radius, power, distance, semi-angle in degrees, sigma in dB) of a
+# 3.5-degree beam, where the former rule in u, without the boundary-layer
+# cuts of avg_capacity_quad, was 6.2e-7 off.
+_NARROW_BEAM = (2.691936017601873, 6.201900143580717, 1.2764113075449068,
+                5.533551669281857, 3.493502303788138, 1.2768473040731503)
+
+
 @pytest.mark.parametrize(
     "height,radius,power,distance,semi_angle_deg,sigma_db",
     [
@@ -292,21 +339,31 @@ _ADAPTIVE_QUAD_FAILURES = [
          46.836303644571146, 45.45592058378384, 5.769755010842858),
         *[(height, radius, power, 30.0, angle, 3.0)
           for angle, radius, height, power in _ADAPTIVE_QUAD_FAILURES],
+        _NARROW_BEAM,
     ],
 )
 def test_numeric_mean_capacity_matches_split_reference(
     default_system, height, radius, power, distance, semi_angle_deg, sigma_db
 ):
-    s = default_system
-    for name, value in (("led_height", height), ("cell_radius", radius),
-                        ("relay_power", power), ("plc_distance", distance)):
-        s = with_variable(s, name, value)
-    s = dataclasses.replace(
-        s,
-        plc=dataclasses.replace(s.plc, fading_sigma_db=sigma_db),
-        vlc=dataclasses.replace(s.vlc, semi_angle_rad=math.radians(semi_angle_deg)),
-    )
+    s = _system(default_system, height, radius, power, distance, semi_angle_deg, sigma_db)
     assert e2e_avg_capacity_numeric(s) == pytest.approx(_survival_product_reference(s), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _NARROW_BEAM,
+        # zero spread, with the PLC point mass inside a 30 m cell's VLC support
+        (2.5, 30.0, 0.1, 30.0, 60.0, 0.0),
+    ],
+)
+def test_numeric_mean_capacity_to_13_digits(default_system, case):
+    s = _system(default_system, *case)
+    if s.plc.fading_sigma_db == 0.0:
+        reference = _zero_spread_reference(s)
+    else:
+        reference = _survival_product_reference(s, dps=40)
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(reference, rel=1e-13)
 
 
 @pytest.mark.parametrize(
