@@ -54,7 +54,8 @@ class RelaySystemParams:
                 "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
             )
         try:
-            threshold = rate_to_snr_threshold(self.rate_threshold_bits, self.duplex_factor)
+            # rate_to_snr_threshold without its argument checks, made above.
+            threshold = 2.0 ** (self.rate_threshold_bits / self.duplex_factor) - 1.0
         except OverflowError:
             threshold = math.inf
         if not math.isfinite(threshold):

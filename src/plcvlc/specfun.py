@@ -1,8 +1,9 @@
 """Special-function kernel: Gauss quadrature rules, normal CDF, Gauss hypergeometric.
 
 The quadrature rules come from NumPy (``numpy.polynomial.hermite.hermgauss``,
-``numpy.polynomial.legendre.leggauss``), cached read-only per order; the
-normal CDF is ``math.erfc``; the one 2F1 family the VLC closed form needs,
+``numpy.polynomial.legendre.leggauss``), cached read-only per order (the
+Legendre rule tiled once per panel count, in a bounded cache); the normal
+CDF is ``math.erfc``; the one 2F1 family the VLC closed form needs,
 2F1(1, b; b+1; z) on -1 <= z <= 0, is a native series.  Errors name the
 offending argument.
 
@@ -73,9 +74,10 @@ def gauss_hermite(order: int) -> QuadratureRule:
 # Composite Gauss-Legendre quadrature on finite intervals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_legendre_arrays(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(order)
+@lru_cache(maxsize=64)
+def _tiled_legendre_arrays(order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of ``order`` nodes on [-1, 1], repeated ``panels`` times."""
+    nodes, weights = (np.tile(a, panels) for a in leggauss(order))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -94,15 +96,17 @@ def gauss_legendre_panels(
     better than Clenshaw-Curtis?", SIAM Rev. 2008), so split beside such
     singularities and at kinks or steps, and grade toward a singularity at 0.
     """
-    x, w = _gauss_legendre_arrays(order)
     if 0.0 < low and high / low > grading:
         graded = range(1, math.ceil(math.log(high / low, grading)))
         splits = (*splits, *(low * grading ** k for k in graded))
     edges = [low, *sorted({p for p in splits if low < p < high}), high]
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
-    half = (cuts[1:, None] - cuts[:-1, None]) / 2.0
-    centre = cuts[:-1, None] + half
-    return (centre + half * x).ravel(), (half * w).ravel()
+    half = (cuts[1:] - cuts[:-1]) / 2.0
+    centre = cuts[:-1] + half
+    # 1-D, not (panels, 1) x (order,): one long NumPy loop per operation, same bits.
+    xs, ws = _tiled_legendre_arrays(order, half.size)
+    half = half.repeat(order)
+    return half * xs + centre.repeat(order), half * ws
 
 
 # ---------------------------------------------------------------------------

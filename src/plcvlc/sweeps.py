@@ -10,7 +10,6 @@ fixed config and seed is byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -156,17 +155,25 @@ FIGURE_PRESETS: dict[int, SweepSpec] = {
 def with_variable(system: RelaySystemParams, name: str, value: float) -> RelaySystemParams:
     """A copy of the system with one sweepable variable replaced.
 
-    A refusal by a parameter class is raised again, prefixed with the
-    variable and its value.
+    Each changed parameter set is copied and re-validated by its ``__post_init__``;
+    a refusal is raised again, prefixed with the variable and its value.
     """
     hop, field = SWEEPABLE_VARIABLES[name]
     try:
         if hop is None:
-            return dataclasses.replace(system, **{field: value})
-        hop_params = dataclasses.replace(getattr(system, hop), **{field: value})
-        return dataclasses.replace(system, **{hop: hop_params})
+            return _replaced(system, field, value)
+        return _replaced(system, hop, _replaced(getattr(system, hop), field, value))
     except ParameterError as exc:
         raise ParameterError(f"sweep variable {name!r} = {value!r}: {exc}") from exc
+
+
+def _replaced(params, field: str, value):
+    """``dataclasses.replace(params, field=value)``, with ``law`` set by ``__post_init__``."""
+    copy = object.__new__(type(params))
+    copy.__dict__.update(params.__dict__)
+    copy.__dict__[field] = value
+    copy.__post_init__()
+    return copy
 
 
 def evaluate_point(system: RelaySystemParams) -> dict[str, float]:

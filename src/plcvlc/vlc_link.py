@@ -10,7 +10,6 @@ via the Gauss hypergeometric function).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -160,7 +159,7 @@ def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
     sampler reaches them exactly.  Out-of-range values come out as inf, 0 or
     nan, for ``VlcLinkParams`` to refuse.
     """
-    m = lambertian_order(p.semi_angle_rad)
+    m = -1.0 / math.log2(math.cos(p.semi_angle_rad))  # lambertian_order, angle checked
     r_sq, height_sq = p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
     rho = p.tx_power_w / p.noise_variance
     if not 0.0 < height_sq < math.inf:
@@ -172,7 +171,10 @@ def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
     bases = [c_const / (r_sq + height_sq), c_const / height_sq]
     # Only a base above 1 can overflow (NumPy does not report underflow), and
     # np.errstate costs about as much as the rest of the law.
-    with np.errstate(over="ignore") if bases[1] > 1.0 else contextlib.nullcontext():
+    if bases[1] > 1.0:
+        with np.errstate(over="ignore"):
+            t_min, t_max = np.power(bases, m + 3.0).tolist()
+    else:
         t_min, t_max = np.power(bases, m + 3.0).tolist()
     return VlcLaw(m, c_const, r_sq, height_sq, t_min, t_max, rho)
 
@@ -260,7 +262,9 @@ def _capacity_by_rule(p: VlcLinkParams, order: int, snr_clip: float = math.inf) 
         cuts.append(u_low * (1.0 + layer))
         layer *= 4.0
     u, w = gauss_legendre_panels(u_low, u_high, order, cuts, grading=_U_GRADING)
-    capacity = np.minimum(np.log1p(rho * u ** (-(m + 3.0))), math.log1p(snr_clip))
+    capacity = np.log1p(rho * u ** (-(m + 3.0)))
+    if snr_clip < math.inf:
+        capacity = np.minimum(capacity, math.log1p(snr_clip))
     # c_const * width / r^2 is exactly the unit probability mass; normalizing
     # by the computed width keeps the mean exact when the support is narrow.
     return float(w @ capacity) / (width * math.log(2.0))

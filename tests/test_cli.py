@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plcvlc
@@ -11,8 +13,11 @@ from plcvlc import cli, plc_link, relay, vlc_link
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import McConfig
+from plcvlc.plc_link import PlcLinkParams
+from plcvlc.vlc_link import VlcLinkParams
 from plcvlc.sweeps import (
     FIGURE_PRESETS,
+    SWEEPABLE_VARIABLES,
     SweepSpec,
     evaluate_point,
     report_csv,
@@ -58,6 +63,95 @@ def test_with_variable_targets_each_level(default_system):
     assert with_variable(default_system, "source_power", 0.2).plc.tx_power_w == 0.2
     assert with_variable(default_system, "plc_distance", 50.0).plc.distance_m == 50.0
     assert with_variable(default_system, "rate_threshold", 2.0).rate_threshold_bits == 2.0
+
+
+def _with_variable_by_replace(system, name, value):
+    """``with_variable`` through ``dataclasses.replace`` (reference)."""
+    hop, field = SWEEPABLE_VARIABLES[name]
+    try:
+        if hop is None:
+            return dataclasses.replace(system, **{field: value})
+        hop_params = dataclasses.replace(getattr(system, hop), **{field: value})
+        return dataclasses.replace(system, **{hop: hop_params})
+    except ParameterError as exc:
+        raise ParameterError(f"sweep variable {name!r} = {value!r}: {exc}") from exc
+
+
+def _assert_same_system(got, want):
+    assert got == want and hash(got) == hash(want)
+    for params, ref in ((got, want), (got.plc, want.plc), (got.vlc, want.vlc)):
+        assert type(params) is type(ref)
+        assert list(vars(params)) == list(vars(ref))
+        # repr tells every float bit apart, including -0.0 from 0.0.
+        assert repr(vars(params)) == repr(vars(ref))
+    assert repr(got.plc.law) == repr(want.plc.law) and repr(got.vlc.law) == repr(want.vlc.law)
+
+
+_PARAMS_CLASSES = {None: relay.RelaySystemParams, "plc": PlcLinkParams, "vlc": VlcLinkParams}
+
+
+def test_with_variable_copy_rests_on_plain_dataclasses():
+    # The copy duplicates the instance dict and calls __post_init__, so every
+    # table entry must be an init field (dataclasses.replace raised TypeError
+    # on a typo), and no class may keep state outside its dict or take
+    # __post_init__ arguments.
+    for hop, field in SWEEPABLE_VARIABLES.values():
+        assert field in {f.name for f in dataclasses.fields(_PARAMS_CLASSES[hop]) if f.init}
+        if hop is not None:
+            assert hop in {f.name for f in dataclasses.fields(relay.RelaySystemParams) if f.init}
+    for cls in _PARAMS_CLASSES.values():
+        assert not any("__slots__" in vars(k) for k in cls.__mro__)
+        assert set(cls.__dataclass_fields__) == {f.name for f in dataclasses.fields(cls)}
+        assert all(f.default_factory is dataclasses.MISSING for f in dataclasses.fields(cls))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPABLE_VARIABLES))
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.7])
+def test_with_variable_matches_dataclasses_replace(default_system, name, scale):
+    hop, field = SWEEPABLE_VARIABLES[name]
+    value = scale * getattr(default_system if hop is None else getattr(default_system, hop), field)
+    got = with_variable(default_system, name, value)
+    _assert_same_system(got, _with_variable_by_replace(default_system, name, value))
+    assert got is not default_system
+
+
+def test_with_variable_matches_dataclasses_replace_along_the_grid_chain(default_system):
+    # The analytic-grid chain of five variables, over its ranges.
+    ranges = {
+        "led_height": (2.15, 3.0),
+        "cell_radius": (2.5, 4.5),
+        "relay_power": (0.02, 0.5),
+        "plc_distance": (5.0, 200.0),
+        "rate_threshold": (0.4, 2.2),
+    }
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        got = want = default_system
+        for name, (low, high) in ranges.items():
+            value = float(rng.uniform(low, high))
+            got = with_variable(got, name, value)
+            want = _with_variable_by_replace(want, name, value)
+            _assert_same_system(got, want)
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in sorted(SWEEPABLE_VARIABLES) for value in (-1.0, math.nan)),
+    ("relay_power", 0.0),
+    ("relay_power", 1e308),
+    ("led_height", math.inf),
+    ("cell_radius", 1e-200),
+    ("plc_distance", 300000.0),
+    ("source_power", 1e-320),
+    ("rate_threshold", 1e4),
+])
+def test_with_variable_refuses_as_dataclasses_replace(default_system, name, value):
+    with pytest.raises(ParameterError) as want:
+        _with_variable_by_replace(default_system, name, value)
+    with pytest.raises(ParameterError) as got:
+        with_variable(default_system, name, value)
+    assert str(got.value) == str(want.value)
+    assert type(got.value.__cause__) is type(want.value.__cause__)
+    assert str(got.value.__cause__) == str(want.value.__cause__)
 
 
 def test_minimal_sweep_record_count(default_system):

@@ -118,6 +118,40 @@ def test_panels_graded_toward_zero():
     assert gauss_legendre_panels(1.0, 1e6, 16)[0].size == 2 * 16
 
 
+def test_panels_are_fresh_writable_arrays_off_read_only_tiles():
+    from plcvlc import specfun
+
+    args = (0.5, 7.0, 8, (1.0, 3.0))
+    first, second = gauss_legendre_panels(*args), gauss_legendre_panels(*args)
+    tiles = specfun._tiled_legendre_arrays(8, 6)
+    for tile in tiles:
+        assert not tile.flags.writeable
+    for result in (*first, *second):
+        assert result.flags.writeable and result.flags.c_contiguous and result.flags.owndata
+        assert result.shape == (6 * 8,) and result.dtype == np.float64
+        assert not any(np.shares_memory(result, tile) for tile in tiles)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    # Writing into a result changes neither the tiles nor the next build.
+    reference = [a.copy() for a in second]
+    for result in first:
+        result[:] = math.nan
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre_panels(*args), reference))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(tiles[0], np.tile(nodes, 6))
+    assert np.array_equal(tiles[1], np.tile(weights, 6))
+
+
+def test_panel_tile_cache_is_bounded():
+    from plcvlc import specfun
+
+    maxsize = specfun._tiled_legendre_arrays.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 256
+    for order in range(1, 5):
+        for count in range(maxsize):
+            gauss_legendre_panels(0.0, 1.0, order, [(k + 1.0) / (count + 1.0) for k in range(count)])
+    assert specfun._tiled_legendre_arrays.cache_info().currsize <= maxsize
+
+
 def _panels_with_array_splits(low, high, order, splits=(), grading=math.inf):
     """The rule with its graded splits formed as a NumPy array (reference)."""
     x, w = np.polynomial.legendre.leggauss(order)
