@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import plc_link, vlc_link
 from .config import echo_lines, load_config
-from .errors import ConfigError, ParameterError, PlcVlcError
+from .errors import ConfigError, ParameterError
 # `estimate` is unused here, but perfbench/layers.py traces cli.estimate by name.
 from .montecarlo import estimate, estimate_many  # noqa: F401
 from .sweeps import (
@@ -155,9 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PlcVlcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

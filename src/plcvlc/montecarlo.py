@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .plc_link import PlcLinkParams
-from .relay import RelaySystemParams, rate_to_snr_threshold
+from .relay import RelaySystemParams
 from .vlc_link import VlcLinkParams, gain_sq
 
 __all__ = [
@@ -150,7 +150,7 @@ def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
     plc = None if hop == "vlc" else system.plc
     vlc = None if hop == "plc" else system.vlc
     if kind == "outage":
-        level = rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
+        level = system.snr_threshold
     else:
         level = system.duplex_factor if hop == "e2e" else 1.0
     return kind, plc, vlc, level
@@ -294,8 +294,8 @@ def estimate_many(
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
-    # One work array per thread: at most pool_size batches run at once.
-    workspaces = [np.empty((5, cfg.batch_size)) for _ in range(pool_size)]
+    # One work array per thread, as wide as a batch reads: at most pool_size batches run at once.
+    workspaces = [np.empty((5, min(cfg.batch_size, cfg.trials))) for _ in range(pool_size)]
 
     def run(batch_index: int) -> list[tuple[float, float, float, float]]:
         work = workspaces.pop()

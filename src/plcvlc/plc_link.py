@@ -27,10 +27,8 @@ from .specfun import MAX_QUADRATURE_ORDER, gauss_legendre_panels, std_normal_cdf
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from .specfun import gauss_hermite  # noqa: F401
 
-__all__ = ["DB_SCALE", "PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "outage"]
+__all__ = ["PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "outage"]
 
-# dB per neper of power: 10/ln(10).
-DB_SCALE = 10.0 / math.log(10.0)
 # A dB amplitude gain x is the power gain 10**(x/5) = exp(x * _LN10_OVER_5).
 _LN10_OVER_5 = math.log(10.0) / 5.0
 _LN2 = math.log(2.0)
@@ -126,16 +124,24 @@ def avg_capacity(p: PlcLinkParams) -> float:
         snr = _point_mass(m)
         return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
     kink = -m / s
-    z, w = gauss_legendre_panels(
-        -_NORMAL_TAIL, max(0.0, min(s, kink)) + _NORMAL_TAIL, p.quadrature_order,
-        (0.0, *(kink + y / s for y in _KINK_CUTS)),
-    )
+    z, w = _z_rule(m, s, p.quadrature_order)
     weights = w * np.exp(-0.5 * z * z) / _SQRT_2PI
     y = m + s * z
     if kink <= 1.0:
         ramp = m * std_normal_cdf(-kink) + s * math.exp(-0.5 * kink * kink) / _SQRT_2PI
         return (ramp + float(weights @ np.log1p(np.exp(-np.abs(y))))) / _LN2
     return float(weights @ np.logaddexp(0.0, y)) / _LN2
+
+
+def _z_rule(
+    m: float, s: float, order: int, top: float = math.inf, cuts=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """``avg_capacity``'s rule in z, capped at ``top`` and also cut at ``cuts`` (for ``relay``)."""
+    kink = -m / s
+    return gauss_legendre_panels(
+        -_NORMAL_TAIL, min(max(0.0, min(s, kink)) + _NORMAL_TAIL, top), order,
+        (0.0, *cuts, *(kink + y / s for y in _KINK_CUTS)),
+    )
 
 
 def _point_mass(centre: float) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 from . import plc_link, vlc_link
 from .errors import ParameterError
 from .plc_link import PlcLinkParams
-from .specfun import gauss_legendre_panels
 from .vlc_link import VlcLinkParams
 
 __all__ = [
@@ -32,14 +31,15 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 # Gauss-Legendre nodes per panel of the end-to-end mean.
 _E2E_ORDER = 16
-# The end-to-end mean's rule starts this many PLC spreads below the median:
-# below it the PLC survival is 1 but for Phi(-9) = 1e-19.
-_NORMAL_TAIL = 9.0
 
 
 @dataclass(frozen=True)
 class RelaySystemParams:
-    """The two hop parameter sets plus the system-level knobs."""
+    """The two hop parameter sets plus the system-level knobs.
+
+    ``snr_threshold``, the per-hop SNR threshold
+    2**(rate_threshold_bits / duplex_factor) - 1, is set on construction.
+    """
 
     plc: PlcLinkParams
     vlc: VlcLinkParams
@@ -54,7 +54,6 @@ class RelaySystemParams:
                 "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
             )
         try:
-            # rate_to_snr_threshold without its argument checks, made above.
             threshold = 2.0 ** (self.rate_threshold_bits / self.duplex_factor) - 1.0
         except OverflowError:
             threshold = math.inf
@@ -64,6 +63,7 @@ class RelaySystemParams:
                 f"{self.rate_threshold_bits!r} / {self.duplex_factor!r} overflows the SNR "
                 f"threshold 2**(rate_threshold_bits / duplex_factor) - 1"
             )
+        object.__setattr__(self, "snr_threshold", threshold)
 
 
 def e2e_capacity(c_plc: float, c_vlc: float, duplex_factor: float) -> float:
@@ -94,9 +94,7 @@ def e2e_outage(p_plc: float, p_vlc: float) -> float:
 
 def e2e_outage_analytic(s: RelaySystemParams) -> float:
     """End-to-end outage probability at the system's rate threshold."""
-    threshold = rate_to_snr_threshold(s.rate_threshold_bits, s.duplex_factor)
-    if threshold == 0.0:
-        return 0.0
+    threshold = s.snr_threshold
     return e2e_outage(plc_link.outage(s.plc, threshold), vlc_link.outage(s.vlc, threshold))
 
 
@@ -128,23 +126,19 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
         # A zero or subnormal spread: the PLC SNR is its point mass.
         return vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, plc_link._point_mass(m))
     z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
-    if z_edge < -_NORMAL_TAIL:
-        # The PLC hop survives below z = -9, so up to exp(m - 9s) the integral
-        # is the VLC capacity clipped there.
-        clip = plc_link._point_mass(m - _NORMAL_TAIL * spread)
+    tail = plc_link._NORMAL_TAIL
+    if z_edge < -tail:
+        # The PLC hop survives below the rule's start z = -9 (but for 1e-19),
+        # so up to exp(m - 9s) the integral is the VLC capacity clipped there.
+        clip = plc_link._point_mass(m - tail * spread)
         bits, nepers = vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, clip), 0.0
-        if z_top <= -_NORMAL_TAIL:
+        if z_top <= -tail:
             return bits
     else:
         # By parts, the integral below the edge is the PLC mean clipped there.
         bits, nepers = 0.0, 0.5 * math.erfc(z_edge / _SQRT2) * float(np.logaddexp(0.0, y_edge))
-    # The PLC mean's rule (``plc_link.avg_capacity``), ending at the top of
-    # the cell and also cut at its edge.
-    kink = -m / spread
-    z, w = gauss_legendre_panels(
-        -_NORMAL_TAIL, min(max(0.0, min(spread, kink)) + _NORMAL_TAIL, z_top), order,
-        (0.0, z_edge, *(kink + y / spread for y in plc_link._KINK_CUTS)),
-    )
+    # The PLC mean's rule, ending at the top of the cell and also cut at its edge.
+    z, w = plc_link._z_rule(m, spread, order, z_top, (z_edge,))
     below = int(np.searchsorted(z, z_edge))
     y = m + spread * z
     normal = w[:below] * np.exp(-0.5 * z[:below] ** 2)

@@ -178,7 +178,7 @@ def _replaced(params, field: str, value):
 
 def evaluate_point(system: RelaySystemParams) -> dict[str, float]:
     """Every analytic value of one operating point, keyed by its ``SweepRecord`` field."""
-    threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
+    threshold = system.snr_threshold
     plc_capacity = plc_link.avg_capacity(system.plc)
     vlc_capacity = vlc_link.avg_capacity_closed(system.vlc)
     plc_outage = plc_link.outage(system.plc, threshold)

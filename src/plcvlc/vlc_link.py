@@ -22,7 +22,6 @@ from .specfun import gauss_legendre_panels, hyp2f1
 
 __all__ = [
     "VlcLinkParams",
-    "lambertian_order",
     "front_end_q",
     "gain_sq_law",
     "gain_sq",
@@ -100,7 +99,11 @@ class VlcLinkParams:
                 f"VlcLinkParams.cell_radius_m must have a positive normal float square, "
                 f"got {self.cell_radius_m!r}"
             )
-        _check_semi_angle(self.semi_angle_rad, "VlcLinkParams.semi_angle_rad")
+        # Below about 1e-8 rad the cosine rounds to 1 and the Lambertian order is infinite.
+        if not (0.0 < self.semi_angle_rad < math.pi / 2.0 and math.cos(self.semi_angle_rad) < 1.0):
+            raise ParameterError(
+                "VlcLinkParams.semi_angle_rad must lie strictly in (0, pi/2), with a cosine below 1"
+            )
         law = gain_sq_law(self)
         if not sys.float_info.min <= law.rho < math.inf:
             raise ParameterError(
@@ -125,18 +128,6 @@ class VlcLinkParams:
         object.__setattr__(self, "law", law)
 
 
-def _check_semi_angle(angle: float, name: str) -> None:
-    # Below about 1e-8 rad cos(angle) rounds to 1 and the order is infinite.
-    if not (0.0 < angle < math.pi / 2.0 and math.cos(angle) < 1.0):
-        raise ParameterError(f"{name} must lie strictly in (0, pi/2), with a cosine below 1")
-
-
-def lambertian_order(semi_angle_rad: float) -> float:
-    """Lambertian mode number m = -1/log2(cos(semi_angle))."""
-    _check_semi_angle(semi_angle_rad, "semi_angle_rad")
-    return -1.0 / math.log2(math.cos(semi_angle_rad))
-
-
 def front_end_q(p: VlcLinkParams) -> float:
     """Receiver front-end factor Q = A_d * U * g * R_p / (2*pi)."""
     return (
@@ -159,7 +150,7 @@ def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
     sampler reaches them exactly.  Out-of-range values come out as inf, 0 or
     nan, for ``VlcLinkParams`` to refuse.
     """
-    m = -1.0 / math.log2(math.cos(p.semi_angle_rad))  # lambertian_order, angle checked
+    m = -1.0 / math.log2(math.cos(p.semi_angle_rad))  # Lambertian order, angle checked
     r_sq, height_sq = p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
     rho = p.tx_power_w / p.noise_variance
     if not 0.0 < height_sq < math.inf:
@@ -313,7 +304,5 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:
     """P(rho * h^2 < snr_threshold) = CDF of h^2 at snr_threshold/rho."""
-    if snr_threshold <= 0.0:
-        return 0.0
     return gain_sq_cdf(snr_threshold * p.noise_variance / p.tx_power_w, p)
 

@@ -295,6 +295,20 @@ def test_eval_prints_report(capsys):
         assert key in out
 
 
+def test_eval_with_a_batch_larger_than_the_run(tmp_path, capsys):
+    # The work arrays are as wide as the trials a batch reads, not as the
+    # batch size: 5 x 1e11 floats used to end in a NumPy MemoryError.
+    path = tmp_path / "big.cfg"
+    path.write_text("batch_size = 100000000000\n")
+    assert cli.main(["eval", "--trials", "1000", "--config", str(path)]) == 0
+    big = capsys.readouterr().out.splitlines()
+    assert cli.main(["eval", "--trials", "1000"]) == 0
+    default = capsys.readouterr().out.splitlines()
+    changed = [(x, y) for x, y in zip(big, default) if x != y]
+    assert len(big) == len(default)
+    assert changed == [("# mc.batch_size = 100000000000", "# mc.batch_size = 65536")]
+
+
 def test_eval_honours_overrides(tmp_path):
     out_path = tmp_path / "eval.txt"
     code = cli.main(["eval", *FAST, "--duplex-factor", "1.0", "--out", str(out_path)])

@@ -9,7 +9,6 @@ from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import MIN_TRIALS, McConfig, estimate_many, sample_plc_snr
 from plcvlc.plc_link import (
-    DB_SCALE,
     PlcLinkParams,
     attenuation_coeff,
     avg_capacity,
@@ -173,8 +172,9 @@ def test_capacity_jensen_bound():
             fading_mu_db=rng.uniform(-6.0, 6.0),
             fading_sigma_db=rng.uniform(0.0, 6.0),
         )
+        db_per_neper = 10.0 / math.log(10.0)
         mean_power_gain = 10 ** (p.fading_mu_db / 5.0) * math.exp(
-            2.0 * p.fading_sigma_db ** 2 / DB_SCALE ** 2
+            2.0 * p.fading_sigma_db ** 2 / db_per_neper ** 2
         )
         bound = math.log2(1.0 + snr_scale(p) * mean_power_gain)
         assert avg_capacity(p) <= bound + 1e-9

@@ -95,6 +95,26 @@ def test_threshold_rejects_bad_arguments():
         rate_to_snr_threshold(1.0, 1.2)
 
 
+@pytest.mark.parametrize("rate, duplex", [
+    (0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.3, 0.7), (2.2, 0.5), (10.0, 0.1),
+    # the largest ratios rate / duplex whose threshold does not overflow
+    (math.nextafter(1024.0, 0.0), 1.0), (math.nextafter(512.0, 0.0), 0.5),
+])
+def test_system_snr_threshold_is_the_rate_threshold_bit_for_bit(default_system, rate, duplex):
+    system = dataclasses.replace(default_system, rate_threshold_bits=rate, duplex_factor=duplex)
+    assert system.snr_threshold.hex() == rate_to_snr_threshold(rate, duplex).hex()
+    assert with_variable(system, "rate_threshold", rate).snr_threshold == system.snr_threshold
+
+
+def test_system_snr_threshold_is_not_a_parameter(default_system):
+    from plcvlc.config import echo_lines, effective_items, load_config
+
+    _, mc = load_config(None)
+    assert "snr_threshold" not in [f.name for f in dataclasses.fields(RelaySystemParams)]
+    assert not [key for key, _ in effective_items(default_system, mc) if "snr_threshold" in key]
+    assert not [line for line in echo_lines(default_system, mc) if "snr_threshold" in line]
+
+
 # ---------------------------------------------------------------------------
 # e2e_outage
 # ---------------------------------------------------------------------------

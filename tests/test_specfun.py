@@ -169,7 +169,7 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
     # analytic-grid ranges with semi-angles down to 3 degrees.
     import dataclasses
 
-    from plcvlc import relay, sweeps, vlc_link
+    from plcvlc import plc_link, relay, sweeps, vlc_link
 
     calls = []
 
@@ -177,7 +177,7 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
         calls.append((args, kwargs))
         return gauss_legendre_panels(*args, **kwargs)
 
-    monkeypatch.setattr(relay, "gauss_legendre_panels", recording)
+    monkeypatch.setattr(plc_link, "gauss_legendre_panels", recording)
     monkeypatch.setattr(vlc_link, "gauss_legendre_panels", recording)
     rng = np.random.default_rng(3)
     for _ in range(60):

@@ -17,7 +17,6 @@ from plcvlc.vlc_link import (
     gain_sq_cdf,
     gain_sq_law,
     gain_sq_pdf,
-    lambertian_order,
     outage,
 )
 
@@ -54,7 +53,7 @@ def sampled_gain_sq(p, v):
 def product_form_gain(r_k, p):
     """Unsimplified Lambertian product: emission cosine, incidence cosine,
     inverse-square spreading and the optical front end."""
-    m = lambertian_order(p.semi_angle_rad)
+    m = p.law.m
     d_sq = r_k * r_k + p.height_m * p.height_m
     cos_angle = p.height_m / math.sqrt(d_sq)
     return (
@@ -71,7 +70,7 @@ def product_form_gain(r_k, p):
 
 def support_closed_expressions(p):
     """t_min/t_max from their explicit closed expressions (30-digit oracle)."""
-    m = mp.mpf(lambertian_order(p.semi_angle_rad))
+    m = mp.mpf(p.law.m)
     q = mp.mpf(front_end_q(p))
     L = mp.mpf(p.height_m)
     r = mp.mpf(p.cell_radius_m)
@@ -115,22 +114,22 @@ def test_rejects_boundary_semi_angle(angle):
         make_params(semi_angle_rad=angle)
 
 
-def test_lambertian_order_rejects_unit_cosine():
-    with pytest.raises(ParameterError):
-        lambertian_order(1e-11)
+def law_order(angle):
+    """The Lambertian order of ``gain_sq_law`` at a semi-angle of the default cell."""
+    return make_params(semi_angle_rad=angle).law.m
 
 
 def test_lambertian_order_reference_angles():
-    assert lambertian_order(math.pi / 3) == pytest.approx(1.0, rel=1e-12)
-    assert lambertian_order(math.pi / 4) == pytest.approx(2.0, rel=1e-12)
+    assert law_order(math.pi / 3) == pytest.approx(1.0, rel=1e-12)
+    assert law_order(math.pi / 4) == pytest.approx(2.0, rel=1e-12)
     expected_30 = float(-1 / (mp.log(mp.cos(mp.pi / 6)) / mp.log(2)))
-    assert lambertian_order(math.pi / 6) == pytest.approx(expected_30, rel=1e-12)
-    assert lambertian_order(math.pi / 6) == pytest.approx(4.818841679306421, rel=1e-12)
+    assert law_order(math.pi / 6) == pytest.approx(expected_30, rel=1e-12)
+    assert law_order(math.pi / 6) == pytest.approx(4.818841679306421, rel=1e-12)
 
 
 def test_lambertian_order_grows_for_narrow_beams():
     angles = [math.radians(a) for a in (80, 60, 45, 30, 20, 10)]
-    orders = [lambertian_order(a) for a in angles]
+    orders = [law_order(a) for a in angles]
     assert all(o > 0 for o in orders)
     assert all(b > a for a, b in zip(orders, orders[1:]))
 
@@ -264,7 +263,7 @@ def test_pdf_matches_sampled_histogram():
 
 
 def _inverse_cdf_params(p):
-    m = lambertian_order(p.semi_angle_rad)
+    m = p.law.m
     amplitude = front_end_q(p) * (m + 1.0) * p.height_m ** (m + 1.0)
     c_const = amplitude ** (2.0 / (m + 3.0))
     t_min, t_max = p.law.t_min, p.law.t_max
@@ -390,7 +389,7 @@ def closed_form_reference(p):
     t_min, t_max = p.law.t_min, p.law.t_max
     with mp.workdps(30):
         rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
-        beta = 1 / (mp.mpf(lambertian_order(p.semi_angle_rad)) + 3)
+        beta = 1 / (mp.mpf(p.law.m) + 3)
 
         def antiderivative(t):
             t = mp.mpf(t)
@@ -446,7 +445,7 @@ def u_integral_reference(p):
         rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
         if t_min == t_max:
             return float(mp.log1p(rho * t_max) / mp.log(2))
-        k = mp.mpf(lambertian_order(p.semi_angle_rad)) + 3
+        k = mp.mpf(p.law.m) + 3
         u_low, u_high = mp.mpf(t_max) ** (-1 / k), mp.mpf(t_min) ** (-1 / k)
         total = mp.quad(lambda u: mp.log1p(rho * u ** -k), [u_low, u_high])
         return float(total / ((u_high - u_low) * mp.log(2)))
@@ -490,7 +489,7 @@ def test_quadrature_resolves_narrow_beams(semi_angle_deg):
 )
 def test_closed_equals_quadrature_where_the_old_gain_law_left_the_normal_range(overrides):
     p = make_params(**overrides)
-    m = lambertian_order(p.semi_angle_rad)
+    m = p.law.m
     t_max = p.law.t_max
     assert t_max == pytest.approx((front_end_q(p) * (m + 1.0)) ** 2 / p.height_m ** 4, rel=1e-12)
     assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-11)
