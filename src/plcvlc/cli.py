@@ -81,8 +81,11 @@ def _parse_family(text: str) -> tuple[str, tuple[float, ...]]:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ParameterError(f"--out {out!r} cannot be written: {exc.strerror or exc}") from exc
 
 
 def _run_eval(system, mc, workers: int) -> str:

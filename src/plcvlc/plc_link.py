@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import MAX_QUADRATURE_ORDER, gauss_legendre_panels, std_normal_cdf
+from .specfun import KINK_CUTS, MAX_QUADRATURE_ORDER, gauss_legendre_panels, std_normal_cdf
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from .specfun import gauss_hermite  # noqa: F401
 
@@ -33,10 +33,8 @@ __all__ = ["PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "o
 _LN10_OVER_5 = math.log(10.0) / 5.0
 _LN2 = math.log(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# The mean's rule drops the normal density beyond this many spreads of its
-# mass (phi(9) = 1e-18), and is cut at these distances from the kink in y.
+# The mean's rule drops the normal density beyond this many spreads (phi(9) = 1e-18).
 _NORMAL_TAIL = 9.0
-_KINK_CUTS = (-32.0, -4.0, 0.0, 4.0, 32.0)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def _z_rule(
     kink = -m / s
     return gauss_legendre_panels(
         -_NORMAL_TAIL, min(max(0.0, min(s, kink)) + _NORMAL_TAIL, top), order,
-        (0.0, *cuts, *(kink + y / s for y in _KINK_CUTS)),
+        (0.0, *cuts, *(kink + y / s for y in KINK_CUTS)),
     )
 
 

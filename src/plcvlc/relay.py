@@ -16,6 +16,7 @@ import numpy as np
 from . import plc_link, vlc_link
 from .errors import ParameterError
 from .plc_link import PlcLinkParams
+from .specfun import PANEL_ORDER
 from .vlc_link import VlcLinkParams
 
 __all__ = [
@@ -29,16 +30,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-# Gauss-Legendre nodes per panel of the end-to-end mean.
-_E2E_ORDER = 16
 
 
 @dataclass(frozen=True)
 class RelaySystemParams:
     """The two hop parameter sets plus the system-level knobs.
 
-    ``snr_threshold``, the per-hop SNR threshold
-    2**(rate_threshold_bits / duplex_factor) - 1, is set on construction.
+    ``snr_threshold``, the per-hop ``rate_to_snr_threshold``, is set on construction.
     """
 
     plc: PlcLinkParams
@@ -54,7 +52,7 @@ class RelaySystemParams:
                 "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
             )
         try:
-            threshold = 2.0 ** (self.rate_threshold_bits / self.duplex_factor) - 1.0
+            threshold = rate_to_snr_threshold(self.rate_threshold_bits, self.duplex_factor)
         except OverflowError:
             threshold = math.inf
         if not math.isfinite(threshold):
@@ -108,12 +106,7 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     spread, a one-point VLC support) it is the capacity of the smaller SNR,
     in the sampler's bits.
     """
-    centre, spread = s.plc.law
-    _, _, _, _, t_min, t_max, rho = s.vlc.law
-    if spread == 0.0 and t_min == t_max:
-        snr = min(plc_link._point_mass(centre), rho * t_max)
-        return s.duplex_factor * (float(np.log1p(snr)) / _LN2)
-    return s.duplex_factor * _survival_integral(s, _E2E_ORDER)
+    return s.duplex_factor * _survival_integral(s, PANEL_ORDER)
 
 
 def _survival_integral(s: RelaySystemParams, order: int) -> float:
@@ -124,14 +117,14 @@ def _survival_integral(s: RelaySystemParams, order: int) -> float:
     y_edge, y_top = log_rho + math.log(t_min), log_rho + math.log(t_max)
     if not spread >= sys.float_info.min:
         # A zero or subnormal spread: the PLC SNR is its point mass.
-        return vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, plc_link._point_mass(m))
+        return vlc_link._capacity_by_rule(s.vlc, plc_link._point_mass(m))
     z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
     tail = plc_link._NORMAL_TAIL
     if z_edge < -tail:
         # The PLC hop survives below the rule's start z = -9 (but for 1e-19),
         # so up to exp(m - 9s) the integral is the VLC capacity clipped there.
         clip = plc_link._point_mass(m - tail * spread)
-        bits, nepers = vlc_link._capacity_by_rule(s.vlc, vlc_link._QUAD_ORDER, clip), 0.0
+        bits, nepers = vlc_link._capacity_by_rule(s.vlc, clip), 0.0
         if z_top <= -tail:
             return bits
     else:

@@ -74,6 +74,12 @@ def gauss_hermite(order: int) -> QuadratureRule:
 # Composite Gauss-Legendre quadrature on finite intervals
 # ---------------------------------------------------------------------------
 
+# Every analytic mean's rule is cut where its softplus(y) kinks and beside its poles
+# at y = +-i*pi, with PANEL_ORDER nodes a panel (the PLC mean: quadrature_order).
+KINK_CUTS = (-32.0, -4.0, 0.0, 4.0, 32.0)
+PANEL_ORDER = 16
+
+
 @lru_cache(maxsize=64)
 def _tiled_legendre_arrays(order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The rule of ``order`` nodes on [-1, 1], repeated ``panels`` times."""

@@ -75,6 +75,8 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise ParameterError(f"sweep of {self.variable!r}: steps must be at least 2")
+        if not math.isfinite((self.stop - self.start) / (self.steps - 1)):  # inf if an end is inf
+            raise ParameterError(f"sweep of {self.variable!r}: start, stop and step must be finite")
         if self.family_variable is not None:
             if self.family_variable not in SWEEPABLE_VARIABLES:
                 raise ParameterError(f"unknown family variable {self.family_variable!r}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import gauss_legendre_panels, hyp2f1
+from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, hyp2f1
 
 __all__ = [
     "VlcLinkParams",
@@ -33,14 +33,10 @@ __all__ = [
 ]
 
 
-# Gauss-Legendre nodes per panel of avg_capacity_quad, and of the rule that
-# stands in for avg_capacity_closed on a narrow support.
-_QUAD_ORDER = 32
-_NARROW_ORDER = 8
 # Below this relative support width (u_high - u_low) / u_low, which is
 # (r/L)**2, the closed form's antiderivative difference cancels (7e-12 off at
-# 1e-3 and 5 degrees, 4.6e-8 at 2e-9); from 3 degrees up the narrow rule is
-# within 3e-14 of mpmath below it, and the closed form within 3e-13 above it.
+# 1e-3 and 5 degrees, 4.6e-8 at 2e-9) and avg_capacity_quad's rule stands in;
+# above it the closed form was up to 9.1e-12 off mpmath at 3-15 degrees.
 _NARROW_WIDTH = 1e-2
 # u = t**(-1/(m+3)) has a branch point at 0 (it is proportional to r^2 + L^2),
 # so rules in u cut at u_low * _U_GRADING**k.
@@ -227,17 +223,17 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
 
     rho = P_r / sigma_d^2.  Integrates log(1 + rho*t) against the squared-gain
     density in u = t**(-1/(m+3)), where the density is constant, with
-    ``_QUAD_ORDER`` nodes per panel, cut at the knee rho*t = 1, at u_low *
-    _U_GRADING**k and at u_low * (1 + 4**k/(m+3)) for 4**k < m+3; the README
-    ("VLC quadrature") gives the reasons and its measured accuracy.  No
-    duplexing factor is applied here; time sharing is accounted for at the
+    ``PANEL_ORDER`` nodes per panel, cut where ln(rho*t) is in ``KINK_CUTS``,
+    at u_low * _U_GRADING**k and at u_low * (1 + 4**k/(m+3)) for 4**k < m+3;
+    the README ("VLC quadrature") gives the reasons and its measured accuracy.
+    No duplexing factor is applied here; time sharing is accounted for at the
     system level.
     """
-    return _capacity_by_rule(p, _QUAD_ORDER)
+    return _capacity_by_rule(p)
 
 
-def _capacity_by_rule(p: VlcLinkParams, order: int, snr_clip: float = math.inf) -> float:
-    """``avg_capacity_quad``, ``order`` nodes per panel, of min(C, log2(1 + snr_clip))."""
+def _capacity_by_rule(p: VlcLinkParams, snr_clip: float = math.inf) -> float:
+    """``avg_capacity_quad`` of min(C, log2(1 + snr_clip))."""
     m, _, _, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     u_low = t_max ** -beta
@@ -245,14 +241,15 @@ def _capacity_by_rule(p: VlcLinkParams, order: int, snr_clip: float = math.inf) 
     width = u_high - u_low
     if width <= 0.0 or snr_clip <= rho * t_min:
         # A point-mass support (vanishing cell), where every user sees t_max,
-        # or a clip below the support.
-        return math.log1p(min(rho * t_max, snr_clip)) / math.log(2.0)
-    cuts = [rho ** beta, (snr_clip / rho) ** -beta]
+        # or a clip below the support: NumPy's log1p, the sampler's bits.
+        return float(np.log1p(min(rho * t_max, snr_clip))) / math.log(2.0)
+    knee = rho ** beta  # u at rho*t = 1; u = knee * exp(-beta*y) at y = ln(rho*t)
+    cuts = [*(knee * math.exp(-y * beta) for y in KINK_CUTS), (snr_clip / rho) ** -beta]
     layer = beta
     while layer < 1.0:
         cuts.append(u_low * (1.0 + layer))
         layer *= 4.0
-    u, w = gauss_legendre_panels(u_low, u_high, order, cuts, grading=_U_GRADING)
+    u, w = gauss_legendre_panels(u_low, u_high, PANEL_ORDER, cuts, grading=_U_GRADING)
     capacity = np.log1p(rho * u ** (-(m + 3.0)))
     if snr_clip < math.inf:
         capacity = np.minimum(capacity, math.log1p(snr_clip))
@@ -277,13 +274,13 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
     On a support narrower than ``_NARROW_WIDTH`` in u (a cell radius below
     a tenth of the LED height) the antiderivative difference cancels, and
-    the mean is taken by ``avg_capacity_quad``'s rule with ``_NARROW_ORDER``
-    nodes per panel instead; on a point-mass support it is log2(1 + rho*t_max).
+    the mean is taken by ``avg_capacity_quad``'s rule instead; on a
+    point-mass support that is log2(1 + rho*t_max).
     """
     m, c_const, r_sq, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     if t_min ** -beta - t_max ** -beta < _NARROW_WIDTH * t_max ** -beta:
-        return _capacity_by_rule(p, _NARROW_ORDER)
+        return _capacity_by_rule(p)
 
     def antiderivative(t: float) -> float:
         z = t * rho
@@ -304,5 +301,5 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:
     """P(rho * h^2 < snr_threshold) = CDF of h^2 at snr_threshold/rho."""
-    return gain_sq_cdf(snr_threshold * p.noise_variance / p.tx_power_w, p)
+    return gain_sq_cdf(snr_threshold / p.law.rho, p)
 

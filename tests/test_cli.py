@@ -47,6 +47,10 @@ def test_spec_validation():
         SweepSpec("relay_power", 0.1, 0.5, 5, family_variable="led_height")
     with pytest.raises(ParameterError):
         SweepSpec("relay_power", 0.1, 0.5, 5, family_values=(1.0,))
+    # The first point was 0 + 0*inf = nan, and a 2e308 span overflowed the step.
+    for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ParameterError, match="'rate_threshold'"):
+            SweepSpec("rate_threshold", start, stop, 3)
 
 
 def test_grid_endpoints():
@@ -329,6 +333,22 @@ def test_sweep_writes_csv(tmp_path):
     rows = [line for line in lines if not line.startswith("#")]
     assert rows[0].startswith("swept_variable,")
     assert len(rows) == 1 + 4
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [
+        (["eval"], "{tmp}/missing/x"),
+        (["sweep", "--var", "relay_power", "--from", "0.05", "--to", "0.1", "--steps", "2"],
+         "/dev/full"),
+    ],
+)
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, out):
+    # Each used to end in an OSError traceback.
+    out = out.format(tmp=tmp_path)
+    assert cli.main([*command, *FAST, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out!r}") and err.count("\n") == 1
 
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):

@@ -51,10 +51,12 @@ _RUN = st.fixed_dictionaries({
     "trials": st.integers(1_000, 2_000),
     "workers": st.integers(1, 2),
 })
+# Infinite bounds, and finite ones whose step overflows.
+_BOUNDS = st.one_of(_FLOATS, st.sampled_from((-math.inf, math.inf, -1e308, 1e308)))
 _SWEEP = st.fixed_dictionaries({
     "variable": st.sampled_from(sorted(SWEEPABLE_VARIABLES)),
-    "start": _FLOATS,
-    "stop": _FLOATS,
+    "start": _BOUNDS,
+    "stop": _BOUNDS,
     "steps": st.integers(1, 3),
     "family": st.one_of(
         st.none(),

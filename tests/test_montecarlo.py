@@ -364,6 +364,19 @@ def test_unresolved_spread_reports_its_bound(default_system, radius):
     assert abs(vlc_link.avg_capacity_closed(s.vlc) - est.mean) <= 3.0 * est.std_error
 
 
+def test_point_mass_cell_capacity_is_the_sampled_bits(default_system):
+    # On a one-point support (t_min == t_max) both analytic routes are NumPy's
+    # log1p of the one SNR over ln 2, as every trial is; math.log1p differed
+    # from it in the last bit at 13 of these 400 relay powers.
+    cfg = McConfig(trials=1_000, seed=1)
+    for power in np.geomspace(1e-6, 10.0, 400).tolist():
+        vlc = dataclasses.replace(default_system.vlc, cell_radius_m=1e-9, tx_power_w=power)
+        assert vlc.law.t_min == vlc.law.t_max
+        s = dataclasses.replace(default_system, vlc=vlc)
+        sampled = estimate("vlc_avg_capacity", s, cfg).mean
+        assert vlc_link.avg_capacity_quad(vlc) == vlc_link.avg_capacity_closed(vlc) == sampled
+
+
 def test_plc_capacity_past_exp_overflow(default_system):
     # At a 1e4 dB spread exp(y) overflows on about half the trials, and the
     # sampled capacity used to be inf with a nan standard error.  Reference:

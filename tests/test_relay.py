@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcvlc import montecarlo, relay
+from plcvlc import montecarlo, relay, specfun
 from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
 from plcvlc.relay import (
@@ -229,7 +229,7 @@ def test_numeric_mean_capacity_at_subnormal_spread_is_the_step(default_system):
 
 def test_numeric_mean_capacity_error_estimate(default_system):
     # The error estimate is the distance to the rule with twice the nodes.
-    order = relay._E2E_ORDER
+    order = specfun.PANEL_ORDER
     value, finer = (default_system.duplex_factor * relay._survival_integral(default_system, n)
                     for n in (order, 2 * order))
     assert value == e2e_avg_capacity_numeric(default_system)
