@@ -47,7 +47,6 @@ _KEYS = {
     "plc_noise_variance": (None, PlcLinkParams, "noise_variance", None),
     "fading_mu_db": (0.0, PlcLinkParams, "fading_mu_db", None),
     "fading_sigma_db": (3.0, PlcLinkParams, "fading_sigma_db", None),
-    "quadrature_order": (30, PlcLinkParams, "quadrature_order", None),
     "relay_power_w": (0.1, VlcLinkParams, "tx_power_w", None),
     "vlc_noise_variance": (1e-5, VlcLinkParams, "noise_variance", None),
     "detector_area_m2": (0.1, VlcLinkParams, "detector_area", None),
@@ -220,7 +219,10 @@ def load_config(
         file_path = Path(path)
         if not file_path.is_file():
             raise ConfigError(f"config file not found: {file_path}")
-        values = parse_config_text(file_path.read_text())
+        try:
+            values = parse_config_text(file_path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {file_path} cannot be read: {exc}") from exc
     return build_params({**values, **(overrides or {})})
 
 

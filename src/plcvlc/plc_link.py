@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import KINK_CUTS, MAX_QUADRATURE_ORDER, gauss_legendre_panels, std_normal_cdf
+from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, std_normal_cdf
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from .specfun import gauss_hermite  # noqa: F401
 
@@ -43,8 +43,6 @@ class PlcLinkParams:
 
     The SNR scale ``snr_scale`` must be a positive normal float.  ``law`` is
     (m, s) of ln(SNR) (module docstring), set on construction.
-    ``quadrature_order`` is the number of Gauss-Legendre nodes per panel of
-    ``avg_capacity``.
     """
 
     frequency_hz: float
@@ -56,7 +54,8 @@ class PlcLinkParams:
     noise_variance: float
     fading_mu_db: float
     fading_sigma_db: float
-    quadrature_order: int = 30
+    # Not a field: perfbench/layers.py's IMPORT_PROBE reads system.plc.quadrature_order.
+    quadrature_order = PANEL_ORDER
 
     def __post_init__(self) -> None:
         for name in ("frequency_hz", "distance_m", "tx_power_w", "noise_variance"):
@@ -68,13 +67,6 @@ class PlcLinkParams:
         for name in ("atten_k", "fading_mu_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"PlcLinkParams.{name} must be finite")
-        order = self.quadrature_order
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-            raise ParameterError("PlcLinkParams.quadrature_order must be an integer")
-        if not 1 <= order <= MAX_QUADRATURE_ORDER:
-            raise ParameterError(
-                f"PlcLinkParams.quadrature_order must be in [1, {MAX_QUADRATURE_ORDER}]"
-            )
         try:
             scale = snr_scale(self)
         except OverflowError:  # from frequency_hz ** atten_k
@@ -108,13 +100,13 @@ def avg_capacity(p: PlcLinkParams) -> float:
     At zero spread that is NumPy's log1p of the point mass over ln 2, the
     sampled capacity bit for bit (m / ln 2 where exp(m) overflows, as in the
     sampler).  Otherwise it is one composite Gauss-Legendre rule in z against
-    the normal density, ``quadrature_order`` nodes per panel, over
+    the normal density, ``specfun.PANEL_ORDER`` nodes per panel, over
     [-9, max(0, min(s, z0)) + 9], where softplus(m + s*z) * phi(z) has its
     mass, cut at 0, at the kink z0 = -m/s and at z0 +- 4/s and z0 +- 32/s,
     in front of the branch points of softplus at y = +-i*pi.  Where z0 <= 1
     the ramp E[max(Y, 0)] = m*Phi(-z0) + s*phi(z0) is exact and only
     log(1 + exp(-|Y|)) is integrated.  The README gives its measured accuracy
-    (within 2.7e-15 relative of mpmath).  No duplexing factor is applied
+    (within 4.7e-15 relative of mpmath).  No duplexing factor is applied
     here; time sharing is accounted for at the system level.
     """
     m, s = p.law
@@ -122,7 +114,7 @@ def avg_capacity(p: PlcLinkParams) -> float:
         snr = _point_mass(m)
         return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
     kink = -m / s
-    z, w = _z_rule(m, s, p.quadrature_order)
+    z, w = _z_rule(m, s, PANEL_ORDER)
     weights = w * np.exp(-0.5 * z * z) / _SQRT_2PI
     y = m + s * z
     if kink <= 1.0:

@@ -75,7 +75,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 # Every analytic mean's rule is cut where its softplus(y) kinks and beside its poles
-# at y = +-i*pi, with PANEL_ORDER nodes a panel (the PLC mean: quadrature_order).
+# at y = +-i*pi, with PANEL_ORDER nodes a panel.
 KINK_CUTS = (-32.0, -4.0, 0.0, 4.0, 32.0)
 PANEL_ORDER = 16
 

@@ -46,6 +46,9 @@ SWEEPABLE_VARIABLES: dict[str, tuple[str | None, str]] = {
 }
 
 CLOSED_VS_QUAD_RTOL = 1e-8
+# The most grid points a sweep takes, refused before any list is built.
+MAX_STEPS = 10 ** 6
+_EXPECTED_VARIABLES = f"expected one of {sorted(SWEEPABLE_VARIABLES)}"
 
 # The sampled columns of a sweep record: capacity, then outage.
 _SWEEP_METRICS = ("e2e_avg_capacity", "e2e_outage")
@@ -64,22 +67,20 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEPABLE_VARIABLES:
-            raise ParameterError(
-                f"unknown sweep variable {self.variable!r}; "
-                f"expected one of {sorted(SWEEPABLE_VARIABLES)}"
-            )
+            raise ParameterError(f"unknown sweep variable {self.variable!r}; {_EXPECTED_VARIABLES}")
         if not self.start < self.stop:
             raise ParameterError(
                 f"sweep of {self.variable!r}: start {self.start!r} must be strictly below "
                 f"stop {self.stop!r}"
             )
-        if self.steps < 2:
-            raise ParameterError(f"sweep of {self.variable!r}: steps must be at least 2")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ParameterError(f"sweep of {self.variable!r}: steps must be in [2, {MAX_STEPS}]")
         if not math.isfinite((self.stop - self.start) / (self.steps - 1)):  # inf if an end is inf
             raise ParameterError(f"sweep of {self.variable!r}: start, stop and step must be finite")
         if self.family_variable is not None:
             if self.family_variable not in SWEEPABLE_VARIABLES:
-                raise ParameterError(f"unknown family variable {self.family_variable!r}")
+                name = self.family_variable
+                raise ParameterError(f"unknown family variable {name!r}; {_EXPECTED_VARIABLES}")
             if self.family_variable == self.variable:
                 raise ParameterError(
                     f"family variable {self.family_variable!r} must differ from the swept variable"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from plcvlc import load_config, montecarlo, plc_link, relay, vlc_link
+from plcvlc import load_config, montecarlo, plc_link, relay, specfun, vlc_link
 from plcvlc.montecarlo import McConfig, estimate
 from plcvlc.sweeps import FIGURE_PRESETS, report_csv, run_sweep
 
@@ -129,17 +129,30 @@ def test_gain_distribution_correctness(system):
 
 
 # ---------------------------------------------------------------------------
-# 4. Quadrature convergence of the power-line capacity
+# 4. Convergence of the power-line capacity rule in its nodes per panel
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0, 6.0])
-def test_quadrature_convergence(system, sigma):
-    p30 = dataclasses.replace(system.plc, fading_sigma_db=sigma, quadrature_order=30)
-    p40 = dataclasses.replace(p30, quadrature_order=40)
-    c30 = plc_link.avg_capacity(p30)
-    c40 = plc_link.avg_capacity(p40)
-    rel = abs(c30 - c40) / abs(c40)
-    _report(f"quadrature convergence sigma={sigma}", rel <= 1e-8, f"rel diff {rel:.2e}")
+def test_quadrature_convergence(system, sigma, monkeypatch):
+    p = dataclasses.replace(system.plc, fading_sigma_db=sigma)
+    sizes = []
+    rule = plc_link._z_rule
+
+    def recording(*args):
+        z, w = rule(*args)
+        sizes.append(z.size)
+        return z, w
+
+    monkeypatch.setattr(plc_link, "_z_rule", recording)
+    value = plc_link.avg_capacity(p)
+    monkeypatch.setattr(plc_link, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
+    doubled = plc_link.avg_capacity(p)
+    rel = abs(value - doubled) / abs(doubled)
+    _report(
+        f"quadrature convergence sigma={sigma}",
+        rel <= 1e-8 and sizes[1] == 2 * sizes[0],
+        f"rel diff {rel:.2e} between {sizes[0]} and {sizes[1]} nodes",
+    )
 
 
 # ---------------------------------------------------------------------------

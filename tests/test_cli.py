@@ -17,6 +17,7 @@ from plcvlc.plc_link import PlcLinkParams
 from plcvlc.vlc_link import VlcLinkParams
 from plcvlc.sweeps import (
     FIGURE_PRESETS,
+    MAX_STEPS,
     SWEEPABLE_VARIABLES,
     SweepSpec,
     evaluate_point,
@@ -51,6 +52,21 @@ def test_spec_validation():
     for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (-1e308, 1e308)):
         with pytest.raises(ParameterError, match="'rate_threshold'"):
             SweepSpec("rate_threshold", start, stop, 3)
+    # The count is bounded before the step or the grid is formed (10**400 overflowed the step).
+    assert SweepSpec("relay_power", 0.1, 0.5, MAX_STEPS).steps == MAX_STEPS
+    for steps in (MAX_STEPS + 1, 10 ** 400):
+        with pytest.raises(ParameterError, match=rf"'relay_power': steps .*\b{MAX_STEPS}\b"):
+            SweepSpec("relay_power", 0.1, 0.5, steps)
+
+
+def test_huge_steps_argument_is_one_error_line(capsys):
+    # A 401-digit count ended in an OverflowError traceback from the step.
+    code = cli.main(["sweep", "--var", "relay_power", "--from", "0.1", "--to", "0.2",
+                     "--steps", str(10 ** 400), *FAST])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: sweep of 'relay_power': steps must be in [2, {MAX_STEPS}]\n"
+    assert captured.out == ""
 
 
 def test_grid_endpoints():
@@ -689,6 +705,51 @@ def test_bad_family_argument_is_exit_two(capsys):
          "--steps", "2", "--family", "led_height", *FAST]
     )
     assert code == 2
+
+
+def test_unknown_family_variable_lists_the_valid_names(capsys):
+    code = cli.main(
+        ["sweep", "--var", "relay_power", "--from", "0.1", "--to", "0.2",
+         "--steps", "2", "--family", "beam_width=1,2", *FAST]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'beam_width'" in err
+    assert all(f"'{name}'" in err for name in SWEEPABLE_VARIABLES)
+
+
+def _config_error_line(capsys, path) -> str:
+    assert cli.main(["eval", "--config", str(path), *FAST]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"trials = 1000\n\xff\xfe bad\n")
+    assert str(path) in _config_error_line(capsys, path)
+
+
+def test_unreadable_config_file_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # Also a file removed between the is_file() check and the read.
+    path = tmp_path / "locked.cfg"
+    path.write_text("trials = 1000\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    err = _config_error_line(capsys, path)
+    assert str(path) in err and "Permission denied" in err
+
+
+def test_retired_quadrature_order_key_exits_two(tmp_path, capsys):
+    # Every mean runs at specfun.PANEL_ORDER nodes a panel; the key is gone.
+    path = tmp_path / "old.cfg"
+    path.write_text("trials = 1000\nquadrature_order = 30\n")
+    assert _config_error_line(capsys, path) == "error: line 2: unknown key 'quadrature_order'\n"
 
 
 def test_config_file_round_trip(tmp_path):

@@ -37,12 +37,12 @@ def test_empty_file_gives_full_default_set(tmp_path):
     assert system.plc.tx_power_w == 0.1
     assert system.vlc.tx_power_w == 0.1
     assert system.vlc.detector_area == 0.1
-    assert system.vlc.filter_gain == pytest.approx(10 ** 0.7, rel=1e-15)
-    assert system.vlc.concentrator_gain == pytest.approx(10 ** 0.7, rel=1e-15)
+    assert system.vlc.filter_gain == pytest.approx(10 ** 0.7, rel=1e-15, abs=0.0)
+    assert system.vlc.concentrator_gain == pytest.approx(10 ** 0.7, rel=1e-15, abs=0.0)
     assert system.vlc.responsivity == 0.4
     assert system.vlc.cell_radius_m == 3.6
     assert system.vlc.height_m == 2.15
-    assert system.vlc.semi_angle_rad == pytest.approx(math.pi / 3, rel=1e-15)
+    assert system.vlc.semi_angle_rad == pytest.approx(math.pi / 3, rel=1e-15, abs=0.0)
     assert system.duplex_factor == 0.5
     assert system.plc.fading_mu_db == 0.0
     assert system.plc.fading_sigma_db == 3.0
@@ -52,7 +52,7 @@ def test_empty_file_gives_full_default_set(tmp_path):
 def test_default_noise_pins_median_snr():
     system, _ = load_config(None)
     median = snr_scale(system.plc) * 10.0 ** (system.plc.fading_mu_db / 5.0)
-    assert median == pytest.approx(10.0, rel=1e-12)
+    assert median == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_single_key_override(tmp_path):
@@ -141,7 +141,6 @@ def test_echo_covers_every_effective_value():
         "plc.noise_variance",
         "plc.fading_mu_db",
         "plc.fading_sigma_db",
-        "plc.quadrature_order",
         "vlc.tx_power_w",
         "vlc.noise_variance",
         "vlc.detector_area",

@@ -52,7 +52,7 @@ def test_unknown_metric_refused(default_system):
 def test_plc_sampler_median_draw(default_system):
     p = default_system.plc
     median = plc_link.snr_scale(p) * 10.0 ** (p.fading_mu_db / 5.0)
-    assert sample_plc_snr(p, 0.0) == pytest.approx(median, rel=1e-14)
+    assert sample_plc_snr(p, 0.0) == pytest.approx(median, rel=1e-14, abs=0.0)
 
 
 def test_plc_sampler_deterministic_without_spread(default_system):
@@ -71,8 +71,8 @@ def test_vlc_sampler_extremes(default_system):
     p = default_system.vlc
     t_min, t_max = p.law.t_min, p.law.t_max
     rho = p.tx_power_w / p.noise_variance
-    assert sample_vlc_snr(p, 0.0) == pytest.approx(rho * t_max, rel=1e-12)
-    assert sample_vlc_snr(p, 1.0) == pytest.approx(rho * t_min, rel=1e-12)
+    assert sample_vlc_snr(p, 0.0) == pytest.approx(rho * t_max, rel=1e-12, abs=0.0)
+    assert sample_vlc_snr(p, 1.0) == pytest.approx(rho * t_min, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("semi_angle_deg", [3.0, 3.58672021461792, 20.0, 60.0])
@@ -165,7 +165,7 @@ def test_std_error_scaling(default_system):
     small = estimate("e2e_avg_capacity", default_system, McConfig(trials=40_000, seed=8))
     large = estimate("e2e_avg_capacity", default_system, McConfig(trials=80_000, seed=8))
     ratio = large.std_error / small.std_error
-    assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.1)
+    assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.1, abs=0.0)
 
 
 def test_estimates_close_with_correlated_batches(default_system):
@@ -394,9 +394,9 @@ def test_plc_capacity_past_exp_overflow(default_system):
     assert np.count_nonzero(y > 710.0) > 1000
     capacity = np.logaddexp(0.0, y) / math.log(2.0)
     est = estimate("plc_avg_capacity", system, cfg)
-    assert est.mean == pytest.approx(float(capacity.mean()), rel=1e-13)
+    assert est.mean == pytest.approx(float(capacity.mean()), rel=1e-13, abs=0.0)
     assert est.std_error == pytest.approx(float(capacity.std(ddof=1)) / math.sqrt(cfg.trials),
-                                          rel=1e-9)
+                                          rel=1e-9, abs=0.0)
     # The end-to-end path and the outages read the overflowed SNRs as they are.
     for metric in ("e2e_avg_capacity", "plc_outage", "e2e_outage"):
         assert math.isfinite(estimate(metric, system, cfg).std_error)

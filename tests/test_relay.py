@@ -212,7 +212,7 @@ def test_numeric_mean_capacity_degenerate_system(default_system):
     c_plc = math.log2(1.0 + snr_scale(plc) * 10.0 ** (plc.fading_mu_db / 5.0))
     c_vlc = math.log2(1.0 + vlc.tx_power_w / vlc.noise_variance * vlc.law.t_max)
     expected = s.duplex_factor * min(c_plc, c_vlc)
-    assert e2e_avg_capacity_numeric(s) == pytest.approx(expected, rel=1e-9)
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_numeric_mean_capacity_at_subnormal_spread_is_the_step(default_system):
@@ -239,7 +239,9 @@ def test_numeric_mean_capacity_error_estimate(default_system):
     s = dataclasses.replace(
         default_system, plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
     )
-    assert e2e_avg_capacity_numeric(s) == pytest.approx(_zero_spread_reference(s), rel=1e-13)
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(
+        _zero_spread_reference(s), rel=1e-13, abs=0.0
+    )
 
 
 def test_evaluator_outage_equals_analytic_outage(default_system):
@@ -366,7 +368,9 @@ def test_numeric_mean_capacity_matches_split_reference(
     default_system, height, radius, power, distance, semi_angle_deg, sigma_db
 ):
     s = _system(default_system, height, radius, power, distance, semi_angle_deg, sigma_db)
-    assert e2e_avg_capacity_numeric(s) == pytest.approx(_survival_product_reference(s), rel=1e-9)
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(
+        _survival_product_reference(s), rel=1e-9, abs=0.0
+    )
 
 
 @pytest.mark.parametrize(
@@ -383,7 +387,7 @@ def test_numeric_mean_capacity_to_13_digits(default_system, case):
         reference = _zero_spread_reference(s)
     else:
         reference = _survival_product_reference(s, dps=40)
-    assert e2e_avg_capacity_numeric(s) == pytest.approx(reference, rel=1e-13)
+    assert e2e_avg_capacity_numeric(s) == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -406,4 +410,4 @@ def test_numeric_mean_capacity_at_a_high_plc_median(default_system, sigma_db, mu
         vlc=dataclasses.replace(default_system.vlc, tx_power_w=1e19),
     )
     value = e2e_avg_capacity_numeric(s) / s.duplex_factor
-    assert value == pytest.approx(plc_mean, rel=2e-15)
+    assert value == pytest.approx(plc_mean, rel=2e-15, abs=0.0)

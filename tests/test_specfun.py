@@ -23,13 +23,13 @@ SQRT_PI = math.sqrt(math.pi)
 def test_order_one_rule():
     rule = gauss_hermite(1)
     assert rule.nodes.tolist() == [0.0]
-    assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15)
+    assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15, abs=0.0)
 
 
 def test_order_two_rule():
     rule = gauss_hermite(2)
-    assert rule.nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], rel=1e-14)
-    assert rule.weights == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], rel=1e-14)
+    assert rule.nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], rel=1e-14, abs=0.0)
+    assert rule.weights == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], rel=1e-14, abs=0.0)
 
 
 def test_order_30_quartic_moment():
@@ -38,8 +38,8 @@ def test_order_30_quartic_moment():
     assert err < 1e-7
     rule = gauss_hermite(30)
     value = float(rule.weights @ rule.nodes ** 4)
-    assert value == pytest.approx(expected, rel=1e-10)
-    assert value == pytest.approx(0.75 * SQRT_PI, rel=1e-12)
+    assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert value == pytest.approx(0.75 * SQRT_PI, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 17, 30, 40, 64, 101, 150, 200])
@@ -52,10 +52,11 @@ def test_rule_invariants(order):
     # symmetry about zero
     assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-12
     # zeroth Hermite moment
-    assert float(rule.weights.sum()) == pytest.approx(SQRT_PI, rel=1e-10)
+    assert float(rule.weights.sum()) == pytest.approx(SQRT_PI, rel=1e-10, abs=0.0)
     if order >= 2:
         # second Hermite moment needs degree-2 exactness, i.e. order >= 2
-        assert float(rule.weights @ rule.nodes ** 2) == pytest.approx(SQRT_PI / 2, rel=1e-10)
+        second_moment = float(rule.weights @ rule.nodes ** 2)
+        assert second_moment == pytest.approx(SQRT_PI / 2, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 7, 30, 40, 99, 100, 151, 200])
@@ -107,14 +108,14 @@ def test_panels_integrate_piecewise_polynomials_exactly():
     assert np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 3.0
     # x**7 integrates to 0 over [-1, 1], (x - 1)**3 to 2**4 / 4 over [1, 3].
     values = np.where(nodes < 1.0, nodes ** 7, (nodes - 1.0) ** 3)
-    assert weights @ values == pytest.approx(4.0, rel=1e-14)
+    assert weights @ values == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
 def test_panels_graded_toward_zero():
     nodes, weights = gauss_legendre_panels(1.0, 1e6, 16, grading=4.0)
     # ceil(log4(1e6)) = 10 segments of two panels each.
     assert nodes.size == 10 * 2 * 16
-    assert weights @ (1.0 / nodes) == pytest.approx(math.log(1e6), rel=1e-13)
+    assert weights @ (1.0 / nodes) == pytest.approx(math.log(1e6), rel=1e-13, abs=0.0)
     assert gauss_legendre_panels(1.0, 1e6, 16)[0].size == 2 * 16
 
 
@@ -275,9 +276,9 @@ def test_log_identity():
     # 2F1(1,1;2;z) = -log(1-z)/z; at z=-1 that is log 2.  Cross-check against
     # the direct series at the Pfaff-mapped argument.
     value = hyp2f1(1.0, 1.0, 2.0, -1.0)
-    assert value == pytest.approx(math.log(2.0), rel=1e-15)
+    assert value == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
     mapped = 0.5 * _direct_series(1.0, 1.0, 2.0, 0.5)
-    assert value == pytest.approx(mapped, rel=1e-15)
+    assert value == pytest.approx(mapped, rel=1e-15, abs=0.0)
 
 
 def test_transformed_matches_direct_series():
@@ -347,7 +348,7 @@ def test_matches_mpmath_over_closed_form_range():
 def test_matches_mpmath_spot_values(a, b, c, z):
     assert a == 1.0 and c == b + 1.0
     reference = float(mp.hyp2f1(a, b, c, z))
-    assert _connection(b, z) == pytest.approx(reference, rel=1e-14)
+    assert _connection(b, z) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, -7.0])

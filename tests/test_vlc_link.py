@@ -120,11 +120,11 @@ def law_order(angle):
 
 
 def test_lambertian_order_reference_angles():
-    assert law_order(math.pi / 3) == pytest.approx(1.0, rel=1e-12)
-    assert law_order(math.pi / 4) == pytest.approx(2.0, rel=1e-12)
+    assert law_order(math.pi / 3) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert law_order(math.pi / 4) == pytest.approx(2.0, rel=1e-12, abs=0.0)
     expected_30 = float(-1 / (mp.log(mp.cos(mp.pi / 6)) / mp.log(2)))
-    assert law_order(math.pi / 6) == pytest.approx(expected_30, rel=1e-12)
-    assert law_order(math.pi / 6) == pytest.approx(4.818841679306421, rel=1e-12)
+    assert law_order(math.pi / 6) == pytest.approx(expected_30, rel=1e-12, abs=0.0)
+    assert law_order(math.pi / 6) == pytest.approx(4.818841679306421, rel=1e-12, abs=0.0)
 
 
 def test_lambertian_order_grows_for_narrow_beams():
@@ -138,23 +138,23 @@ def test_front_end_q_default_point():
     expected = float(
         mp.mpf("0.1") * mp.power(10, mp.mpf("0.7")) ** 2 * mp.mpf("0.4") / (2 * mp.pi)
     )
-    assert front_end_q(make_params()) == pytest.approx(expected, rel=1e-13)
-    assert front_end_q(make_params()) == pytest.approx(0.1599, rel=1e-3)
+    assert front_end_q(make_params()) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert front_end_q(make_params()) == pytest.approx(0.1599, rel=1e-3, abs=0.0)
 
 
 def test_front_end_q_unit_combination():
     p = make_params(detector_area=2 * math.pi, filter_gain=1.0, concentrator_gain=1.0,
                     responsivity=1.0)
-    assert front_end_q(p) == pytest.approx(1.0, rel=1e-15)
+    assert front_end_q(p) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_front_end_q_scales_linearly():
     p = make_params()
     assert front_end_q(make_params(responsivity=3 * p.responsivity)) == pytest.approx(
-        3 * front_end_q(p), rel=1e-14
+        3 * front_end_q(p), rel=1e-14, abs=0.0
     )
     assert front_end_q(make_params(detector_area=5 * p.detector_area)) == pytest.approx(
-        5 * front_end_q(p), rel=1e-14
+        5 * front_end_q(p), rel=1e-14, abs=0.0
     )
 
 
@@ -165,8 +165,8 @@ def test_front_end_q_scales_linearly():
 def test_gain_at_nadir():
     p = make_params()
     q = front_end_q(p)
-    assert channel_gain(0.0, p) == pytest.approx(2 * q / p.height_m ** 2, rel=1e-12)
-    assert channel_gain(0.0, p) == pytest.approx(0.0692, rel=1e-3)
+    assert channel_gain(0.0, p) == pytest.approx(2 * q / p.height_m ** 2, rel=1e-12, abs=0.0)
+    assert channel_gain(0.0, p) == pytest.approx(0.0692, rel=1e-3, abs=0.0)
 
 
 def test_gain_at_height_distance():
@@ -174,8 +174,9 @@ def test_gain_at_height_distance():
     # 2**((m+3)/2) = 4: the gain at r_k = L is Q/(2 L^2).
     p = make_params()
     q = front_end_q(p)
-    assert channel_gain(p.height_m, p) == pytest.approx(q / (2 * p.height_m ** 2), rel=1e-12)
-    assert channel_gain(p.height_m, p) == pytest.approx(channel_gain(0.0, p) / 4, rel=1e-12)
+    edge = channel_gain(p.height_m, p)
+    assert edge == pytest.approx(q / (2 * p.height_m ** 2), rel=1e-12, abs=0.0)
+    assert edge == pytest.approx(channel_gain(0.0, p) / 4, rel=1e-12, abs=0.0)
 
 
 def test_gain_strictly_decreasing():
@@ -195,7 +196,7 @@ def test_gain_matches_product_form():
             detector_area=rng.uniform(0.01, 0.5),
         )
         r_k = rng.uniform(0.0, p.cell_radius_m)
-        assert channel_gain(r_k, p) == pytest.approx(product_form_gain(r_k, p), rel=1e-12)
+        assert channel_gain(r_k, p) == pytest.approx(product_form_gain(r_k, p), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +207,15 @@ def test_support_default_point():
     p = make_params()
     t_min, t_max = p.law.t_min, p.law.t_max
     ref_min, ref_max = support_closed_expressions(p)
-    assert t_min == pytest.approx(ref_min, rel=1e-12)
-    assert t_max == pytest.approx(ref_max, rel=1e-12)
-    assert (t_min, t_max) == pytest.approx((2.29e-5, 4.79e-3), rel=1e-2)
+    assert t_min == pytest.approx(ref_min, rel=1e-12, abs=0.0)
+    assert t_max == pytest.approx(ref_max, rel=1e-12, abs=0.0)
+    assert (t_min, t_max) == pytest.approx((2.29e-5, 4.79e-3), rel=1e-2, abs=0.0)
 
 
 def test_support_degenerate_cell():
     p = make_params(cell_radius_m=1e-9)
     t_min, t_max = p.law.t_min, p.law.t_max
-    assert t_min == pytest.approx(t_max, rel=1e-12)
+    assert t_min == pytest.approx(t_max, rel=1e-12, abs=0.0)
 
 
 def test_support_scaling_law():
@@ -225,8 +226,8 @@ def test_support_scaling_law():
                              height_m=factor * p.height_m)
         t_min, t_max = p.law.t_min, p.law.t_max
         s_min, s_max = scaled.law.t_min, scaled.law.t_max
-        assert s_min == pytest.approx(t_min * factor ** -4, rel=1e-9)
-        assert s_max == pytest.approx(t_max * factor ** -4, rel=1e-9)
+        assert s_min == pytest.approx(t_min * factor ** -4, rel=1e-9, abs=0.0)
+        assert s_max == pytest.approx(t_max * factor ** -4, rel=1e-9, abs=0.0)
 
 
 def test_pdf_normalizes_to_one():
@@ -353,12 +354,12 @@ def test_capacity_degenerate_cell():
     p = make_params(cell_radius_m=1e-6)
     t_max = p.law.t_max
     expected = math.log2(1.0 + p.tx_power_w / p.noise_variance * t_max)
-    assert avg_capacity_quad(p) == pytest.approx(expected, rel=1e-9)
+    assert avg_capacity_quad(p) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_closed_equals_quadrature_at_default_point():
     p = make_params()
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8, abs=0.0)
 
 
 # 2F1 - 1 used to cancel here: the closed form was 7e-5, 8e-2 and 4 (with the
@@ -366,7 +367,7 @@ def test_closed_equals_quadrature_at_default_point():
 @pytest.mark.parametrize("power", [1e-13, 1e-16, 1e-20])
 def test_closed_equals_quadrature_at_vanishing_snr(power):
     p = make_params(tx_power_w=power)
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-8, abs=0.0)
 
 
 # With pi/sin(pi*beta) * rho**beta kept in the antiderivative at both ends,
@@ -375,7 +376,7 @@ def test_closed_equals_quadrature_at_vanishing_snr(power):
 @pytest.mark.parametrize("power", [1e20, 1e40, 1e60, 1e100, 1e300])
 def test_closed_equals_quadrature_at_high_snr(power):
     p = make_params(tx_power_w=power)
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-12)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-12, abs=0.0)
 
 
 def closed_form_reference(p):
@@ -406,7 +407,7 @@ def closed_form_reference(p):
 @pytest.mark.parametrize("power", [1e-13, 1e-4, 0.1, 1e3, 1e20])
 def test_closed_matches_mpmath_on_each_side_of_the_knee(power, semi_angle_deg):
     p = make_params(tx_power_w=power, semi_angle_rad=math.radians(semi_angle_deg))
-    assert avg_capacity_closed(p) == pytest.approx(closed_form_reference(p), rel=1e-13)
+    assert avg_capacity_closed(p) == pytest.approx(closed_form_reference(p), rel=1e-13, abs=0.0)
 
 
 # The rule's variable u = t**(-1/(m+3)) spans a factor 1 + (radius/height)**2.
@@ -418,7 +419,7 @@ def test_closed_matches_mpmath_on_each_side_of_the_knee(power, semi_angle_deg):
 )
 def test_closed_equals_quadrature_for_wide_cells(radius, semi_angle_deg):
     p = make_params(cell_radius_m=radius, semi_angle_rad=math.radians(semi_angle_deg))
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-12)
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-12, abs=0.0)
 
 
 def test_closed_equals_quadrature_random_draws():
@@ -431,7 +432,7 @@ def test_closed_equals_quadrature_random_draws():
             height_m=rng.uniform(1.5, 4.0),
             semi_angle_rad=math.radians(rng.uniform(20.0, 80.0)),
         )
-        assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-7)
+        assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-7, abs=0.0)
 
 
 def u_integral_reference(p):
@@ -459,7 +460,7 @@ def u_integral_reference(p):
 )
 def test_closed_matches_mpmath_on_narrow_cells(radius, semi_angle_deg):
     p = make_params(cell_radius_m=radius, semi_angle_rad=math.radians(semi_angle_deg))
-    assert avg_capacity_closed(p) == pytest.approx(u_integral_reference(p), rel=2e-13)
+    assert avg_capacity_closed(p) == pytest.approx(u_integral_reference(p), rel=2e-13, abs=0.0)
 
 
 def cut_u_integral_reference(p):
@@ -509,8 +510,10 @@ def test_quadrature_matches_mpmath_on_random_narrow_beams():
 @pytest.mark.parametrize("semi_angle_deg", [3.0, 3.5, 4.0, 5.0])
 def test_quadrature_resolves_narrow_beams(semi_angle_deg):
     p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
-    assert avg_capacity_quad(p) == pytest.approx(closed_form_reference(p), rel=1e-13)
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=CLOSED_VS_QUAD_RTOL)
+    assert avg_capacity_quad(p) == pytest.approx(closed_form_reference(p), rel=1e-13, abs=0.0)
+    assert avg_capacity_closed(p) == pytest.approx(
+        avg_capacity_quad(p), rel=CLOSED_VS_QUAD_RTOL, abs=0.0
+    )
 
 
 # (r^2 + L^2)**(-(m+3)/2) was subnormal at the first two narrow beams, so
@@ -533,8 +536,10 @@ def test_closed_equals_quadrature_where_the_old_gain_law_left_the_normal_range(o
     p = make_params(**overrides)
     m = p.law.m
     t_max = p.law.t_max
-    assert t_max == pytest.approx((front_end_q(p) * (m + 1.0)) ** 2 / p.height_m ** 4, rel=1e-12)
-    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-11)
+    assert t_max == pytest.approx(
+        (front_end_q(p) * (m + 1.0)) ** 2 / p.height_m ** 4, rel=1e-12, abs=0.0
+    )
+    assert avg_capacity_closed(p) == pytest.approx(avg_capacity_quad(p), rel=1e-11, abs=0.0)
 
 
 def test_capacity_monotone_trends():
