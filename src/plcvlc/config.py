@@ -225,8 +225,10 @@ def load_config(
     values: dict[str, float | int] = {}
     if path is not None:
         file_path = Path(path)
-        if not file_path.is_file():
+        if not file_path.exists():
             raise ConfigError(f"config file not found: {file_path}")
+        if not file_path.is_file():
+            raise ConfigError(f"config path is not a regular file: {file_path}")
         try:
             values = parse_config_text(file_path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:

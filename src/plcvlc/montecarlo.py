@@ -158,12 +158,13 @@ def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
 
 def _batch_partials(
     keys: list[tuple], cfg: McConfig, batch_index: int, work: np.ndarray
-) -> list[tuple[float, float, float, float]]:
-    """(sum, sum of squares, min, max) of every reduction key over one batch.
+) -> list[tuple[float, float, float, float, int]]:
+    """(sum, sum of squares, min, max, K) of every reduction key over one batch.
 
-    The batch runs in ``work``, its thread's own five rows (module
-    docstring).  A row is recomputed only where the parameters behind it
-    differ from the previous key's.
+    The sums are in units of 2**K (an outage's K is 0).  The batch runs in
+    ``work``, its thread's own five rows (module docstring).  A row is
+    recomputed only where the parameters behind it differ from the previous
+    key's.
     """
     start = batch_index * cfg.batch_size
     count = min(cfg.batch_size, cfg.trials - start)
@@ -196,7 +197,12 @@ def _batch_partials(
         if kind == "avg_capacity":
             high = _capacities(snr, level, plc, normals, values, below)
             path = None
-            total, low = float(np.sum(values)), float(values.min())
+            # K from the largest value, so no sum under- or overflows; it
+            # stays at -1021 below that (a subnormal high), so 2**-K is finite.
+            low, exponent = float(values.min()), max(math.frexp(high)[1], -1021)
+            unit = math.ldexp(1.0, -exponent)
+            np.multiply(values, unit, out=values)
+            total = float(np.sum(values))
             np.multiply(values, values, out=values)
             total_sq = float(np.sum(values))
             if total_sq - total * total / count < _RESOLVED * total_sq:
@@ -205,13 +211,14 @@ def _batch_partials(
                 if snr is values:
                     np.minimum(plc_snr, vlc_snr, out=values)
                 _capacities(snr, level, plc, normals, values, below)
+                np.multiply(values, unit, out=values)
                 total = math.fsum(values.tolist())
-            partials.append((total, total_sq, low, high))
+            partials.append((total, total_sq, low, high, exponent))
         else:
             # No sampler returns NaN, so the path is below the threshold iff a
             # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
             hits = int(np.count_nonzero(np.less(snr, level, out=below)))
-            partials.append((float(hits), float(hits), float(hits == count), float(hits > 0)))
+            partials.append((float(hits), float(hits), float(hits == count), float(hits > 0), 0))
     return partials
 
 
@@ -235,23 +242,17 @@ def _capacities(snr, level, plc, normals, values, below) -> float:
     return high
 
 
-def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -> Estimate:
-    """The estimate from every batch's (sum, sum of squares, min, max).
+def _combine(partials: list[tuple[float, float, float, float, int]], cfg: McConfig) -> Estimate:
+    """The estimate from every batch's (sum, sum of squares, min, max, K).
 
-    The standard error reported is at least ``_ROUNDING_ULPS`` ulps of the
-    mean, the rounding that the estimate carries whatever its spread: each
-    capacity's log1p(snr) / ln 2 is within 1.5 ulps (log1p within 1 ulp, the
-    division half an ulp), every value has one sign, so their mean is too, and
-    the mean itself adds half an ulp (fsum is exactly rounded, then one
-    division).  Where the floor acts the batch sums are exactly rounded too:
-    a batch whose own spread is lost in rounding is re-summed by math.fsum
-    (``_batch_partials``), not left to NumPy's pairwise sum, which came up to
-    1 ulp off on narrow cells.  A sample spanning a few ulps (a narrow cell)
-    has a smaller sampling error than this bound; at any real spread the
-    sampling error is far larger, and the standard error keeps its bits.
+    Every sum is brought to the largest unit 2**K, the statistics are formed
+    in it and scaled back (README, "Monte Carlo standard error").  The
+    standard error reported is at least ``_ROUNDING_ULPS`` ulps of the mean,
+    the rounding that the mean carries whatever its spread.
     """
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
+    exponent = max(p[4] for p in partials)
+    total = math.fsum(math.ldexp(p[0], p[4] - exponent) for p in partials)
+    total_sq = math.fsum(math.ldexp(p[1], 2 * (p[4] - exponent)) for p in partials)
     low = min(p[2] for p in partials)
     high = max(p[3] for p in partials)
     trials, seed = cfg.trials, int(cfg.seed)
@@ -262,10 +263,11 @@ def _combine(partials: list[tuple[float, float, float, float]], cfg: McConfig) -
     if squares < _RESOLVED * total_sq:
         # The sum of squared deviations is lost in rounding (a narrow cell);
         # report Popoviciu's bound on it, n * (high - low)**2 / 4, instead.
-        squares = trials * (high - low) ** 2 / 4.0
+        squares = trials * math.ldexp(high - low, -exponent) ** 2 / 4.0
     std_error = math.sqrt(squares / (trials - 1) / trials)
     mean = total / trials
     std_error = max(std_error, _ROUNDING_ULPS * math.ulp(mean))
+    mean, std_error = math.ldexp(mean, exponent), math.ldexp(std_error, exponent)
     return Estimate(mean=mean, std_error=std_error, trials=trials, seed=seed)
 
 
@@ -297,7 +299,7 @@ def estimate_many(
     # One work array per thread, as wide as a batch reads: at most pool_size batches run at once.
     workspaces = [np.empty((5, min(cfg.batch_size, cfg.trials))) for _ in range(pool_size)]
 
-    def run(batch_index: int) -> list[tuple[float, float, float, float]]:
+    def run(batch_index: int) -> list[tuple[float, float, float, float, int]]:
         work = workspaces.pop()
         try:
             return _batch_partials(keys, cfg, batch_index, work)

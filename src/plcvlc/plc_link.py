@@ -35,6 +35,9 @@ _LN2 = math.log(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # The mean's rule drops the normal density beyond this many spreads (phi(9) = 1e-18).
 _NORMAL_TAIL = 9.0
+# |m + s*z| <= |m| + _Z_REACH*s wherever the log-SNR is formed: the mean's rule
+# keeps it within |m| + 9s, and NumPy's ziggurat never draws |z| above 13.71.
+_Z_REACH = 16.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,8 @@ class PlcLinkParams:
     """Cable, power, noise and fading parameters of the power-line hop.
 
     The SNR scale ``snr_scale`` must be a positive normal float.  ``law`` is
-    (m, s) of ln(SNR) (module docstring), set on construction.
+    (m, s) of ln(SNR) (module docstring), set on construction; the largest
+    capacity it reaches, (|m| + 16*s) / ln 2 bits (``_Z_REACH``), must be finite.
     """
 
     frequency_hz: float
@@ -80,7 +84,13 @@ class PlcLinkParams:
                 "and PlcLinkParams.atten_a1"
             )
         centre = math.log(scale) + self.fading_mu_db * _LN10_OVER_5
-        object.__setattr__(self, "law", (centre, self.fading_sigma_db * _LN10_OVER_5))
+        spread = self.fading_sigma_db * _LN10_OVER_5
+        if not (abs(centre) + _Z_REACH * spread) / _LN2 < math.inf:
+            raise ParameterError(
+                f"PlcLinkParams.fading_sigma_db = {self.fading_sigma_db!r} is too large: the "
+                "capacity (|m| + 16*s) / ln 2 overflows at PlcLinkParams.fading_mu_db"
+            )
+        object.__setattr__(self, "law", (centre, spread))
 
 
 def attenuation_coeff(p: PlcLinkParams) -> float:

@@ -20,7 +20,6 @@ from .vlc_link import VlcLinkParams
 
 __all__ = [
     "RelaySystemParams",
-    "e2e_capacity",
     "rate_to_snr_threshold",
     "e2e_outage",
     "e2e_outage_analytic",
@@ -61,15 +60,6 @@ class RelaySystemParams:
                 f"threshold 2**(rate_threshold_bits / duplex_factor) - 1"
             )
         object.__setattr__(self, "snr_threshold", threshold)
-
-
-def e2e_capacity(c_plc: float, c_vlc: float, duplex_factor: float) -> float:
-    """Instantaneous end-to-end capacity: duplex_factor * min of the hops."""
-    if c_plc < 0.0 or c_vlc < 0.0:
-        raise ParameterError("hop capacities must be nonnegative")
-    if not 0.0 < duplex_factor <= 1.0:
-        raise ParameterError("duplex_factor must lie in (0, 1]")
-    return duplex_factor * min(c_plc, c_vlc)
 
 
 def rate_to_snr_threshold(rate_threshold: float, duplex_factor: float) -> float:

@@ -190,7 +190,7 @@ def evaluate_point(system: RelaySystemParams) -> dict[str, float]:
         "snr_threshold": threshold,
         "plc_capacity": plc_capacity,
         "vlc_capacity": vlc_capacity,
-        "e2e_capacity_bound": relay.e2e_capacity(plc_capacity, vlc_capacity, system.duplex_factor),
+        "e2e_capacity_bound": system.duplex_factor * min(plc_capacity, vlc_capacity),
         "plc_outage": plc_outage,
         "vlc_outage": vlc_outage,
         "e2e_outage": relay.e2e_outage(plc_outage, vlc_outage),

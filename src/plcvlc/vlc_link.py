@@ -3,7 +3,7 @@
 A single ceiling LED with a Lambertian radiation pattern serves a user whose
 horizontal position is uniform over a disc of radius ``cell_radius_m``.  The
 line-of-sight channel gain then has a known power-law distribution, which
-gives closed forms for the squared-gain density/CDF, the outage probability,
+gives closed forms for the squared-gain CDF, the outage probability,
 and the average capacity (both by a fixed composite Gauss-Legendre rule and
 via the Gauss hypergeometric function).
 """
@@ -25,7 +25,6 @@ __all__ = [
     "front_end_q",
     "gain_sq_law",
     "gain_sq",
-    "gain_sq_pdf",
     "gain_sq_cdf",
     "avg_capacity_quad",
     "avg_capacity_closed",
@@ -176,24 +175,6 @@ def gain_sq(v: np.ndarray, law: VlcLaw, out: np.ndarray) -> np.ndarray:
     np.add(out, law.height_sq, out=out)
     np.divide(law.c_const, out, out=out)
     return np.power(out, law.m + 3.0, out=out)
-
-
-def gain_sq_pdf(x, p: VlcLinkParams):
-    """Density of the squared channel gain for a uniformly placed user.
-
-    f(x) = C * x**(-1/(m+3) - 1) / ((m+3) * r^2) on [t_min, t_max], zero
-    outside; integrates to one exactly by construction.
-    """
-    m, c_const, r_sq, _, t_min, t_max, _ = p.law
-    coef = c_const / ((m + 3.0) * r_sq)
-    expo = -1.0 / (m + 3.0) - 1.0
-    values = np.asarray(x, dtype=float)
-    inside = (values >= t_min) & (values <= t_max)
-    safe = np.where(inside, values, t_min)
-    density = np.where(inside, coef * safe ** expo, 0.0)
-    if np.ndim(x) == 0:
-        return float(density)
-    return density
 
 
 def gain_sq_cdf(x, p: VlcLinkParams):

@@ -422,6 +422,22 @@ def test_validate_at_huge_fading_spread(tmp_path, capsys):
         assert all(math.isfinite(float(value)) for value in rows[metric][1:4])
 
 
+# Capacities below about 1e-154 bits had their squares underflow, so the
+# standard error came out as its 2-ulp floor and the rows disagreed; from a
+# 1e152 dB spread the sums overflowed (an fsum OverflowError, then nan).
+@pytest.mark.parametrize(
+    "line",
+    ["relay_power_w = 1e-300", "plc_median_snr_db = -3000", "fading_sigma_db = 1e152",
+     "fading_sigma_db = 1e153", "fading_sigma_db = 1e300"],
+)
+def test_validate_at_extreme_capacities(tmp_path, capsys, line):
+    code, rows = _validate_rows(tmp_path, capsys, line + "\n")
+    assert code == 0
+    assert all(row[-1] == "agree" and "nan" not in row for row in rows.values())
+    for metric in ("plc_avg_capacity", "vlc_avg_capacity", "e2e_avg_capacity"):
+        assert float(rows[metric][3]) > 1e-4 * float(rows[metric][2])
+
+
 def test_cli_import_leaves_scipy_integrate_out():
     # No scipy module at all, after the import and after a full validate run.
     src = str(Path(plcvlc.__file__).resolve().parent.parent)
@@ -598,6 +614,7 @@ def test_invalid_config_value_is_exit_two(tmp_path, capsys):
         ("responsivity_a_per_w", "1e-300"),
         # The transmit SNR and the PLC SNR scale, refused by the parameter classes.
         ("relay_power_w", "1e308"),
+        ("fading_sigma_db", "1e308"),
         pytest.param(
             "source_power_w", "1e308\nplc_noise_variance = 1e-10", id="source_power_w-1e308"
         ),
@@ -780,6 +797,14 @@ def test_nadir_snr_overflow_names_the_power_noise_and_gain_keys(tmp_path, capsys
                  "responsivity_a_per_w", "cell_radius_m", "led_height_m", "semi_angle_deg")
     for key in ("relay_power_w", "vlc_noise_variance", *gain_keys):
         assert f"key '{key}'" in err
+
+
+def test_config_path_that_is_not_a_regular_file_says_so(tmp_path, capsys):
+    # A directory used to be reported as "config file not found".
+    err = _config_error_line(capsys, tmp_path)
+    assert err == f"error: config path is not a regular file: {tmp_path}\n"
+    missing = tmp_path / "missing.cfg"
+    assert _config_error_line(capsys, missing) == f"error: config file not found: {missing}\n"
 
 
 def test_retired_quadrature_order_key_exits_two(tmp_path, capsys):

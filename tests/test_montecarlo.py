@@ -349,8 +349,9 @@ def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
         )
         threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
         hits = np.count_nonzero((plc < threshold) | (vlc < threshold))
+        # In plain units (K = 0): the engine's own unit scales back to these bits.
         partial = (float(np.sum(capacity)), float(np.sum(capacity * capacity)),
-                   float(capacity.min()), float(capacity.max()))
+                   float(capacity.min()), float(capacity.max()), 0)
         assert estimate("e2e_avg_capacity", system, cfg) == montecarlo._combine([partial], cfg)
         assert estimate("e2e_outage", system, cfg).mean == hits / cfg.trials
         vlc_hits = np.count_nonzero(vlc < threshold)
@@ -424,10 +425,60 @@ def test_std_error_is_at_least_the_rounding_of_the_mean(spread):
         values = np.full(cfg.trials, 5.61)
         values[:96] = math.nextafter(5.61, 6.0)
     total, total_sq = float(np.sum(values)), float(np.sum(values * values))
-    est = montecarlo._combine([(total, total_sq, values.min(), values.max())], cfg)
+    est = montecarlo._combine([(total, total_sq, values.min(), values.max(), 0)], cfg)
     if spread:
         squares = total_sq - total * total / cfg.trials
         assert est.std_error == math.sqrt(squares / (cfg.trials - 1) / cfg.trials)
     else:
         popoviciu = (values.max() - values.min()) / (2.0 * math.sqrt(cfg.trials - 1))
         assert popoviciu < est.std_error == 2.0 * math.ulp(est.mean)
+
+
+@pytest.mark.parametrize("shift", [-1000, 900])
+def test_std_error_survives_tiny_and_huge_values(shift):
+    # The squares of values below about 1e-154 underflowed, and the sums of
+    # values near 1e308 overflowed.  Each batch now carries its sums in units
+    # of 2**K, K from its largest value: a sample scaled by 2**shift has the
+    # statistics of the unscaled one, scaled, bit for bit.
+    cfg = McConfig(trials=4096, batch_size=2048)
+    values = np.linspace(1.0, 3.0, cfg.trials)
+    plain, scaled = [], []
+    for half in (values[:2048], values[2048:]):
+        exponent = math.frexp(half.max())[1]
+        unit = np.ldexp(half, -exponent)
+        plain.append((float(np.sum(half)), float(np.sum(half * half)), half.min(), half.max(), 0))
+        scaled.append((float(np.sum(unit)), float(np.sum(unit * unit)),
+                       math.ldexp(half.min(), shift), math.ldexp(half.max(), shift),
+                       exponent + shift))
+    reference = montecarlo._combine(plain, cfg)
+    est = montecarlo._combine(scaled, cfg)
+    assert est.mean == math.ldexp(reference.mean, shift)
+    assert est.std_error == math.ldexp(reference.std_error, shift)
+
+
+@pytest.mark.parametrize(
+    "hop,field,value",
+    [("vlc", "tx_power_w", 1e-300), ("plc", "fading_sigma_db", 1e152),
+     ("plc", "fading_sigma_db", 1e300)],
+)
+def test_capacity_estimate_at_extreme_magnitudes(default_system, hop, field, value):
+    # At a 1e-300 W relay power the standard error came out as the 2-ulp floor
+    # (1e-314), and at 1e152 dB the sums overflowed (an fsum OverflowError,
+    # then nan).  Reference: the same capacities, their standard error taken
+    # by NumPy in units of their largest.
+    params = dataclasses.replace(getattr(default_system, hop), **{field: value})
+    system = dataclasses.replace(default_system, **{hop: params})
+    cfg = McConfig(trials=8192, seed=3, batch_size=8192)
+    rng = montecarlo._batch_rng(cfg.seed, 0)
+    normals = rng.standard_normal(cfg.trials)
+    if hop == "vlc":
+        capacity = np.log1p(sample_vlc_snr(system.vlc, rng.random(cfg.trials))) / math.log(2.0)
+    else:
+        centre, spread = system.plc.law
+        capacity = np.logaddexp(0.0, centre + spread * normals) / math.log(2.0)
+    exponent = math.frexp(capacity.max())[1]
+    unit = np.ldexp(capacity, -exponent)
+    est = estimate(f"{hop}_avg_capacity", system, cfg)
+    assert est.mean == pytest.approx(math.ldexp(unit.mean(), exponent), rel=1e-13, abs=0.0)
+    std_error = math.ldexp(unit.std(ddof=1) / math.sqrt(cfg.trials), exponent)
+    assert est.std_error == pytest.approx(std_error, rel=1e-9, abs=0.0)

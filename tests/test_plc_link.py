@@ -70,6 +70,8 @@ def reference_noise_for_median_snr(median_snr, mu_db=0.0):
         ("tx_power_w", 1e308),
         ("tx_power_w", math.inf),
         ("noise_variance", 1e-320),
+        # the log-SNR m + s*z overflows
+        ("fading_sigma_db", 1e308),
     ],
 )
 def test_rejects_invalid_field(field, value):
@@ -87,6 +89,33 @@ def test_quadrature_order_is_not_a_field():
         dataclasses.replace(make_params(), quadrature_order=30)
     assert "quadrature_order" not in {field.name for field in dataclasses.fields(PlcLinkParams)}
     assert PlcLinkParams.quadrature_order == specfun.PANEL_ORDER
+
+
+def test_largest_accepted_fading_spread_keeps_the_log_snr_finite():
+    # At fading_sigma_db = 1e308, m + s*z overflowed in the mean's rule and in
+    # the sampler.  The largest spread accepted has (|m| + 16*s) / ln 2 finite,
+    # and there the mean, the outage and a sampled capacity stay finite.
+    def accepted(bits):
+        try:
+            make_params(fading_sigma_db=float(np.int64(bits).view(np.float64)))
+        except ParameterError:
+            return False
+        return True
+
+    low, high = (int(np.float64(x).view(np.int64)) for x in (1e300, 1e308))
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if accepted(middle) else (low, middle)
+    p = make_params(fading_sigma_db=float(np.int64(low).view(np.float64)))
+    with pytest.raises(ParameterError, match="fading_sigma_db"):
+        make_params(fading_sigma_db=math.nextafter(p.fading_sigma_db, math.inf))
+    m, s = p.law
+    assert math.isfinite((abs(m) + 16.0 * s) / math.log(2.0))
+    assert math.isfinite(avg_capacity(p)) and outage(p, 1.0) == 0.5
+    system, _ = load_config(None)
+    system = dataclasses.replace(system, plc=p)
+    sampled = estimate_many([("plc_avg_capacity", system)], McConfig(trials=MIN_TRIALS, seed=1))
+    assert math.isfinite(sampled[0].mean) and math.isfinite(sampled[0].std_error)
 
 
 # ---------------------------------------------------------------------------

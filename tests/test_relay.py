@@ -14,7 +14,6 @@ from plcvlc.errors import ParameterError
 from plcvlc.relay import (
     RelaySystemParams,
     e2e_avg_capacity_numeric,
-    e2e_capacity,
     e2e_outage,
     e2e_outage_analytic,
     rate_to_snr_threshold,
@@ -38,38 +37,22 @@ def test_system_params_validation(default_system):
 
 
 # ---------------------------------------------------------------------------
-# e2e_capacity
+# the end-to-end capacity bound
 # ---------------------------------------------------------------------------
 
-def test_capacity_min_composition():
-    assert e2e_capacity(4.0, 2.0, 1.0) == 2.0
-    assert e2e_capacity(4.0, 2.0, 0.5) == 1.0
-
-
-@given(
-    st.floats(min_value=0.0, max_value=100.0),
-    st.floats(min_value=1e-6, max_value=1.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_capacity_symmetric_case(c, theta):
-    assert e2e_capacity(c, c, theta) == pytest.approx(theta * c, rel=1e-15, abs=1e-300)
-
-
-def test_capacity_never_exceeds_either_hop():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        c1, c2 = rng.uniform(0.0, 20.0, 2)
-        theta = rng.uniform(0.01, 1.0)
-        value = e2e_capacity(c1, c2, theta)
-        assert value <= theta * c1 + 1e-15
-        assert value <= theta * c2 + 1e-15
-
-
-def test_capacity_rejects_bad_arguments():
-    with pytest.raises(ParameterError):
-        e2e_capacity(-1.0, 2.0, 0.5)
-    with pytest.raises(ParameterError):
-        e2e_capacity(1.0, 2.0, 0.0)
+def test_capacity_min_composition(default_system):
+    # The bound is duplex_factor * min of the hop capacities, bit for bit,
+    # whichever hop is the smaller.
+    smaller = set()
+    for power in (0.1, 100.0):
+        for duplex in (0.5, 0.3, 1.0):
+            s = dataclasses.replace(with_variable(default_system, "relay_power", power),
+                                    duplex_factor=duplex)
+            point = evaluate_point(s)
+            plc, vlc = point["plc_capacity"], point["vlc_capacity"]
+            assert point["e2e_capacity_bound"] == s.duplex_factor * min(plc, vlc)
+            smaller.add("plc" if plc < vlc else "vlc")
+    assert smaller == {"plc", "vlc"}
 
 
 # ---------------------------------------------------------------------------
