@@ -72,16 +72,21 @@ class McConfig:
     batch_size: int = 65_536
 
     def __post_init__(self) -> None:
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
+        if not _is_integer(self.trials):
             raise ParameterError("McConfig.trials must be an integer")
         if self.trials < MIN_TRIALS:
             raise ParameterError(
                 f"McConfig.trials must be at least {MIN_TRIALS} for a reported estimate"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 64:
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
             raise ParameterError("McConfig.seed must be a 64-bit unsigned integer")
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
+        if not _is_integer(self.batch_size) or self.batch_size < 1:
             raise ParameterError("McConfig.batch_size must be a positive integer")
+
+
+def _is_integer(value) -> bool:
+    """An int or NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,22 @@ def _batch_partials(
         else:
             snr = vlc_snr if plc is None else plc_snr
         if kind == "avg_capacity":
-            high = _capacities(snr, level, plc, normals, values, below)
+            # level * log1p(snr) / ln 2 into values (which may be snr).  min
+            # does not round, and log1p, the division and the product are
+            # monotone: these are the bits of level * min of the hop capacities.
+            np.log1p(snr, out=values)
+            np.divide(values, _LN2, out=values)
+            np.multiply(values, level, out=values)
             path = None
+            high = float(values.max())
+            if high == math.inf:
+                # Only the PLC sampler overflows, and a path with a VLC hop is
+                # finite, so this is a PLC-only path (level 1).  Where exp(y)
+                # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
+                overflowed = np.isinf(values, out=below)
+                _plc_log_snr(plc, normals, values, where=overflowed)
+                np.divide(values, _LN2, out=values, where=overflowed)
+                high = float(values.max())
             # K from the largest value, so no sum under- or overflows; it
             # stays at -1021 below that (a subnormal high), so 2**-K is finite.
             low, exponent = float(values.min()), max(math.frexp(high)[1], -1021)
@@ -207,12 +226,11 @@ def _batch_partials(
             total_sq = float(np.sum(values))
             if total_sq - total * total / count < _RESOLVED * total_sq:
                 # The spread is lost in rounding (a narrow cell), maybe below
-                # the pairwise sum's: sum again, exactly rounded (``_combine``).
-                if snr is values:
-                    np.minimum(plc_snr, vlc_snr, out=values)
-                _capacities(snr, level, plc, normals, values, below)
-                np.multiply(values, unit, out=values)
-                total = math.fsum(values.tolist())
+                # the pairwise sum's: sum again, exactly rounded (``_combine``),
+                # the values read back from their squares.  Each exceeds half
+                # the batch mean, at least 2**-54, so its square is normal and
+                # the square root returns it exactly.
+                total = math.fsum(np.sqrt(values, out=values).tolist())
             partials.append((total, total_sq, low, high, exponent))
         else:
             # No sampler returns NaN, so the path is below the threshold iff a
@@ -220,26 +238,6 @@ def _batch_partials(
             hits = int(np.count_nonzero(np.less(snr, level, out=below)))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0), 0))
     return partials
-
-
-def _capacities(snr, level, plc, normals, values, below) -> float:
-    """level * log1p(snr) / ln 2 into ``values`` (which may be ``snr``); its maximum.
-
-    min does not round, and log1p, the division and the product are monotone:
-    these are the bits of level * min of the hop capacities."""
-    np.log1p(snr, out=values)
-    np.divide(values, _LN2, out=values)
-    np.multiply(values, level, out=values)
-    high = float(values.max())
-    if high == math.inf:
-        # Only the PLC sampler overflows, and a path with a VLC hop is
-        # finite, so this is a PLC-only path (level 1).  Where exp(y)
-        # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
-        overflowed = np.isinf(values, out=below)
-        _plc_log_snr(plc, normals, values, where=overflowed)
-        np.divide(values, _LN2, out=values, where=overflowed)
-        high = float(values.max())
-    return high
 
 
 def _combine(partials: list[tuple[float, float, float, float, int]], cfg: McConfig) -> Estimate:
@@ -288,6 +286,8 @@ def estimate_many(
     slots = [_reduction_key(metric, system) for metric, system in requests]
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
+    if not slots:
+        return []
     first: dict[object, int] = {}
     for _, plc, vlc, _ in slots:
         first.setdefault(vlc, len(first))

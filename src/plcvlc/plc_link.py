@@ -113,24 +113,21 @@ def avg_capacity(p: PlcLinkParams) -> float:
     the normal density, ``specfun.PANEL_ORDER`` nodes per panel, over
     [-9, max(0, min(s, z0)) + 9], where softplus(m + s*z) * phi(z) has its
     mass, cut at 0, at the kink z0 = -m/s and at z0 +- 4/s and z0 +- 32/s,
-    in front of the branch points of softplus at y = +-i*pi.  Where z0 <= 1
-    the ramp E[max(Y, 0)] = m*Phi(-z0) + s*phi(z0) is exact and only
-    log(1 + exp(-|Y|)) is integrated.  The README gives its measured accuracy
-    (within 4.7e-15 relative of mpmath).  No duplexing factor is applied
-    here; time sharing is accounted for at the system level.
+    in front of the branch points of softplus at y = +-i*pi.  The README
+    gives its measured accuracy (within 1.5e-15 relative of mpmath).  No
+    duplexing factor is applied here; time sharing is accounted for at the
+    system level.
     """
     m, s = p.law
     if s == 0.0:
         snr = _point_mass(m)
         return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
-    kink = -m / s
-    z, w = _z_rule(m, s)
-    weights = w * np.exp(-0.5 * z * z) / _SQRT_2PI
-    y = m + s * z
-    if kink <= 1.0:
-        ramp = m * std_normal_cdf(-kink) + s * math.exp(-0.5 * kink * kink) / _SQRT_2PI
-        return (ramp + float(weights @ np.log1p(np.exp(-np.abs(y))))) / _LN2
-    return float(weights @ np.logaddexp(0.0, y)) / _LN2
+    return _softplus_sum(m, s, *_z_rule(m, s)) / _LN2
+
+
+def _softplus_sum(m: float, s: float, z: np.ndarray, w: np.ndarray) -> float:
+    """The sum of w * phi(z) * softplus(m + s*z) over a rule (z, w), in nepers."""
+    return float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
 
 
 def _z_rule(m: float, s: float, top: float = math.inf, cuts=()) -> tuple[np.ndarray, np.ndarray]:

@@ -99,10 +99,10 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     vlc_m, _, _, _, t_min, t_max, rho = s.vlc.law
     log_rho = math.log(rho)
     y_edge, y_top = log_rho + math.log(t_min), log_rho + math.log(t_max)
-    if not spread >= sys.float_info.min:
-        # A zero or subnormal spread: the PLC SNR is its point mass.
-        return s.duplex_factor * vlc_link._capacity_by_rule(s.vlc, plc_link._point_mass(m))
-    z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
+    # A zero or subnormal spread is the point mass exp(m): all of it lies below z = -9.
+    z_edge = z_top = -math.inf
+    if spread >= sys.float_info.min:
+        z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
     tail = plc_link._NORMAL_TAIL
     if z_edge < -tail:
         # The PLC hop survives below the rule's start z = -9 (but for 1e-19),
@@ -117,18 +117,17 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     # The PLC mean's rule, ending at the top of the cell and also cut at its edge.
     z, w = plc_link._z_rule(m, spread, z_top, (z_edge,))
     below = int(np.searchsorted(z, z_edge))
-    y = m + spread * z
-    normal = w[:below] * np.exp(-0.5 * z[:below] ** 2)
-    nepers += float(normal @ np.logaddexp(0.0, y[:below])) / plc_link._SQRT_2PI
+    nepers += plc_link._softplus_sum(m, spread, z[:below], w[:below])
     beta = 1.0 / (vlc_m + 3.0)
     u_low, u_high = t_max ** -beta, t_min ** -beta
     if u_low < u_high:
         # Above it, P(C_plc > t) * P(C_vlc > t) * dt/dz, with the VLC survival
         # linear in u = (snr/rho)**-beta and dt/dy = expit(y) nepers.
-        z, y = z[below:], y[below:]
+        z = z[below:]
+        y = m + spread * z
         survival = np.fromiter(map(math.erfc, (z / _SQRT2).tolist()), float, z.size)
         survival *= np.exp(beta * (log_rho - y)) - u_low
         snr = np.exp(y)
         survival *= snr / (1.0 + snr)
-        nepers += 0.5 * spread / (u_high - u_low) * float(w[below:] @ survival)
+        nepers += 0.5 * spread * (float(w[below:] @ survival) / (u_high - u_low))
     return s.duplex_factor * (bits + nepers / _LN2)

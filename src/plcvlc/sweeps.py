@@ -17,7 +17,7 @@ from . import plc_link, relay, vlc_link
 from .config import echo_lines
 from .errors import ParameterError
 # `estimate` is unused here, but perfbench/layers.py traces sweeps.estimate by name.
-from .montecarlo import Estimate, McConfig, estimate, estimate_many  # noqa: F401
+from .montecarlo import Estimate, McConfig, _is_integer, estimate, estimate_many  # noqa: F401
 from .relay import RelaySystemParams
 
 __all__ = [
@@ -73,6 +73,8 @@ class SweepSpec:
                 f"sweep of {self.variable!r}: start {self.start!r} must be strictly below "
                 f"stop {self.stop!r}"
             )
+        if not _is_integer(self.steps):
+            raise ParameterError(f"sweep of {self.variable!r}: steps must be an integer")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ParameterError(f"sweep of {self.variable!r}: steps must be in [2, {MAX_STEPS}]")
         if not math.isfinite((self.stop - self.start) / (self.steps - 1)):  # inf if an end is inf

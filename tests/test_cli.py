@@ -59,6 +59,13 @@ def test_spec_validation():
             SweepSpec("relay_power", 0.1, 0.5, steps)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True])
+def test_fractional_step_count_refused(steps):
+    # grid() and run_sweep ended in a TypeError on a float count.
+    with pytest.raises(ParameterError, match="'relay_power': steps must be an integer"):
+        SweepSpec("relay_power", 0.1, 0.2, steps)
+
+
 def test_huge_steps_argument_is_one_error_line(capsys):
     # A 401-digit count ended in an OverflowError traceback from the step.
     code = cli.main(["sweep", "--var", "relay_power", "--from", "0.1", "--to", "0.2",

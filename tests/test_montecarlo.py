@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcvlc import montecarlo, plc_link, relay, vlc_link
 from plcvlc.errors import ParameterError
@@ -38,6 +40,13 @@ def test_bad_seed_refused(seed):
 def test_bad_batch_size_refused():
     with pytest.raises(ParameterError):
         McConfig(trials=10_000, batch_size=0)
+
+
+@pytest.mark.parametrize("field", ["seed", "batch_size"])
+def test_bool_seed_and_batch_size_refused(field):
+    # batch_size=True ended in a TypeError from np.empty; seed=True ran as seed 1.
+    with pytest.raises(ParameterError, match=f"McConfig.{field} "):
+        McConfig(trials=10_000, **{field: True})
 
 
 def test_fractional_trials_refused():
@@ -285,8 +294,23 @@ def test_shared_pass_memory_does_not_grow_with_the_hops(default_system):
     assert peak <= 7 * cfg.batch_size * 8
 
 
-def test_shared_pass_of_nothing_is_empty():
-    assert estimate_many([], McConfig(trials=10_000)) == []
+def test_shared_pass_of_nothing_is_empty(monkeypatch):
+    # It used to draw every batch's normals first.
+    def no_draws(seed, batch_index):
+        raise AssertionError("an empty pass drew a batch")
+
+    monkeypatch.setattr(montecarlo, "_batch_rng", no_draws)
+    assert estimate_many([], McConfig(trials=10 ** 7)) == []
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(min_value=2.0 ** -54, max_value=1.0))
+def test_square_root_returns_a_scaled_value_from_its_square(x):
+    # A batch whose spread is lost in rounding sums its scaled values again,
+    # read back from their squares: each exceeds half the batch mean, at
+    # least 2**-54, so the square is normal and sqrt(x*x) is x exactly.
+    square = np.multiply(np.float64(x), np.float64(x))
+    assert np.sqrt(square) == x
 
 
 def test_worker_pool_capped_at_batch_count(default_system, monkeypatch):

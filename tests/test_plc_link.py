@@ -276,6 +276,22 @@ def test_capacity_order30_within_documented_accuracy(sigma, median_snr_db):
     assert abs(avg_capacity(p) - reference) / reference <= documented_rtol(sigma)
 
 
+def test_capacity_where_the_kink_lies_at_or_below_one():
+    # The ramp max(Y, 0) carries most of the mean here, up to 1e3 dB of
+    # spread: the logaddexp form must hold the documented accuracy on it.
+    rng = np.random.default_rng(24)
+    for sigma, kink in zip(10 ** rng.uniform(math.log10(0.3), 3.0, 12), rng.uniform(-4.0, 1.0, 12)):
+        p = make_params(
+            noise_variance=reference_noise_for_median_snr(1.0),
+            fading_sigma_db=float(sigma),
+            fading_mu_db=float(-kink * sigma),
+        )
+        m, s = p.law
+        assert -m / s <= 1.0
+        reference = mpmath_capacity(p)
+        assert abs(avg_capacity(p) - reference) / reference <= documented_rtol(sigma)
+
+
 def test_capacity_on_a_long_cable():
     # 1.4 km of cable puts the median SNR at -108 dB, five spreads of 10.75 dB
     # below 0 dB; the former Gauss-Hermite fork was 1.7e-3 off here.

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcvlc import montecarlo, plc_link, specfun
+from plcvlc import montecarlo, plc_link, specfun, vlc_link
+from plcvlc.config import load_config
 from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
 from plcvlc.relay import (
@@ -208,6 +209,21 @@ def test_numeric_mean_capacity_at_subnormal_spread_is_the_step(default_system):
         warnings.simplefilter("error")
         subnormal = e2e_avg_capacity_numeric(with_spread(1e-320))
     assert subnormal == e2e_avg_capacity_numeric(with_spread(0.0))
+
+
+@pytest.mark.parametrize("sigma_db,radius_m", [(1e300, 1e-6), (1.6911236143524112e307, 1e-3)])
+def test_numeric_mean_capacity_at_a_huge_spread(sigma_db, radius_m):
+    # 0.5 * spread / (u_high - u_low) overflowed before it met the tiny sum:
+    # nan at the first system, inf at the second.  At these spreads the PLC
+    # survival is 1/2 across the whole cell.
+    s, _ = load_config(None, {"fading_sigma_db": sigma_db, "cell_radius_m": radius_m})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = e2e_avg_capacity_numeric(s)
+    assert math.isfinite(value)
+    assert value == pytest.approx(
+        s.duplex_factor * 0.5 * vlc_link.avg_capacity_quad(s.vlc), rel=1e-9, abs=0.0
+    )
 
 
 def test_numeric_mean_capacity_error_estimate(default_system, z_rule_sizes, monkeypatch):
