@@ -96,7 +96,7 @@ def _run_eval(system, mc, workers: int) -> str:
     report = [
         ("plc_attenuation_per_m", plc_link.attenuation_coeff(system.plc)),
         ("plc_snr_scale", plc_link.snr_scale(system.plc)),
-        ("snr_threshold", point["snr_threshold"]),
+        ("snr_threshold", system.snr_threshold),
         ("plc_capacity", point["plc_capacity"]),
         ("vlc_capacity_closed", point["vlc_capacity"]),
         ("vlc_capacity_quad", vlc_link.avg_capacity_quad(system.vlc)),
@@ -144,17 +144,16 @@ def main(argv: list[str] | None = None) -> int:
                     family_variable=family_variable,
                     family_values=family_values,
                 )
-            report = run_sweep(spec, system, mc, workers=args.workers)
-            _write_output(report_csv(report, system, mc), args.out)
+            records = run_sweep(spec, system, mc, workers=args.workers)
+            _write_output(report_csv(spec, records, system, mc), args.out)
             return 0
 
         # validate
-        rows, ok = run_validation(system, mc, workers=args.workers)
-        text = "\n".join(validation_lines(rows)) + "\n"
-        _write_output(text, args.out)
-        if not ok:
-            failing = ", ".join(r.name for r in rows if not r.agrees)
-            print(f"validation failed: {failing}", file=sys.stderr)
+        rows = run_validation(system, mc, workers=args.workers)
+        _write_output("\n".join(validation_lines(rows)) + "\n", args.out)
+        failing = [r.name for r in rows if not r.agrees]
+        if failing:
+            print(f"validation failed: {', '.join(failing)}", file=sys.stderr)
             return 1
         return 0
     except (ConfigError, ParameterError) as exc:

@@ -96,7 +96,6 @@ class Estimate:
     mean: float
     std_error: float
     trials: int
-    seed: int
 
 
 def _plc_log_snr(p: PlcLinkParams, u: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
@@ -253,10 +252,10 @@ def _combine(partials: list[tuple[float, float, float, float, int]], cfg: McConf
     total_sq = math.fsum(math.ldexp(p[1], 2 * (p[4] - exponent)) for p in partials)
     low = min(p[2] for p in partials)
     high = max(p[3] for p in partials)
-    trials, seed = cfg.trials, int(cfg.seed)
+    trials = cfg.trials
     if low == high:
         # Degenerate sample: the mean is the common value, with no spread.
-        return Estimate(mean=low, std_error=0.0, trials=trials, seed=seed)
+        return Estimate(mean=low, std_error=0.0, trials=trials)
     squares = total_sq - total * total / trials
     if squares < _RESOLVED * total_sq:
         # The sum of squared deviations is lost in rounding (a narrow cell);
@@ -266,7 +265,7 @@ def _combine(partials: list[tuple[float, float, float, float, int]], cfg: McConf
     mean = total / trials
     std_error = max(std_error, _ROUNDING_ULPS * math.ulp(mean))
     mean, std_error = math.ldexp(mean, exponent), math.ldexp(std_error, exponent)
-    return Estimate(mean=mean, std_error=std_error, trials=trials, seed=seed)
+    return Estimate(mean=mean, std_error=std_error, trials=trials)
 
 
 def estimate_many(
@@ -284,8 +283,8 @@ def estimate_many(
     ``workers`` threads, never more threads than batches.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
-    if workers < 1:
-        raise ParameterError("workers must be a positive integer")
+    if not _is_integer(workers) or workers < 1:
+        raise ParameterError(f"workers must be a positive integer, got {workers!r}")
     if not slots:
         return []
     first: dict[object, int] = {}

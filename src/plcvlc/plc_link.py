@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, std_normal_cdf
+from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
 
@@ -33,6 +33,7 @@ __all__ = ["PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "o
 _LN10_OVER_5 = math.log(10.0) / 5.0
 _LN2 = math.log(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 # The mean's rule drops the normal density beyond this many spreads (phi(9) = 1e-18).
 _NORMAL_TAIL = 9.0
 # |m + s*z| <= |m| + _Z_REACH*s wherever the log-SNR is formed: the mean's rule
@@ -155,9 +156,11 @@ def outage(p: PlcLinkParams, snr_threshold: float) -> float:
     With zero fading spread the SNR is the point mass ``_point_mass`` and the
     result is a step there.
     """
+    if math.isnan(snr_threshold):
+        raise ParameterError("plc_link.outage: snr_threshold must not be NaN")
     if snr_threshold <= 0.0:
         return 0.0
     centre, spread = p.law
     if spread == 0.0:
         return 0.0 if _point_mass(centre) >= snr_threshold else 1.0
-    return std_normal_cdf((math.log(snr_threshold) - centre) / spread)
+    return 0.5 * math.erfc((centre - math.log(snr_threshold)) / spread / _SQRT2)

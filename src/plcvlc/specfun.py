@@ -1,10 +1,9 @@
-"""Special-function kernel: composite Gauss-Legendre rules, normal CDF, Gauss hypergeometric.
+"""Special-function kernel: composite Gauss-Legendre rules and the Gauss hypergeometric.
 
 The quadrature rule comes from NumPy (``numpy.polynomial.legendre.leggauss``),
-tiled once per panel count and cached read-only in a bounded cache; the
-normal CDF is ``math.erfc``; the one 2F1 family the VLC closed form needs,
-2F1(1, b; b+1; z) on -1 <= z <= 0, is a native series.  Errors name the
-offending argument.
+tiled once per panel count and cached read-only in a bounded cache; the one
+2F1 family the VLC closed form needs, 2F1(1, b; b+1; z) on -1 <= z <= 0, is a
+native series.  Errors name the offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -20,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError
 
-__all__ = ["gauss_legendre_panels", "std_normal_cdf", "hyp2f1"]
+__all__ = ["gauss_legendre_panels", "hyp2f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +65,6 @@ def gauss_legendre_panels(
     xs, ws = _tiled_legendre_arrays(order, half.size)
     half = half.repeat(order)
     return half * xs + centre.repeat(order), half * ws
-
-
-# ---------------------------------------------------------------------------
-# Standard normal CDF
-# ---------------------------------------------------------------------------
-
-def std_normal_cdf(x: float) -> float:
-    """P(Z <= x) for Z standard normal, via the complementary error function."""
-    if math.isnan(x):
-        raise ParameterError("std_normal_cdf requires a non-NaN argument")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -282,5 +282,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:
     """P(rho * h^2 < snr_threshold) = CDF of h^2 at snr_threshold/rho."""
+    if math.isnan(snr_threshold):
+        raise ParameterError("vlc_link.outage: snr_threshold must not be NaN")
     return gain_sq_cdf(snr_threshold / p.law.rho, p)
 

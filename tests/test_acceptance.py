@@ -145,16 +145,16 @@ def test_quadrature_convergence(system, sigma, z_rule_sizes, monkeypatch):
 # 5. Trend reproduction for the four figure presets
 # ---------------------------------------------------------------------------
 
-def _by_family(report):
+def _by_family(records):
     grouped = {}
-    for record in report.records:
+    for record in records:
         grouped.setdefault(record.family_value, []).append(record)
     return grouped
 
 
-def _by_grid_point(report):
+def _by_grid_point(records):
     grouped = {}
-    for record in report.records:
+    for record in records:
         grouped.setdefault(record.swept_value, []).append(record)
     return grouped
 
@@ -163,10 +163,10 @@ def _by_grid_point(report):
 def test_figure_trends(system, number):
     spec = FIGURE_PRESETS[number]
     mc = McConfig(trials=4000, seed=77)
-    report = run_sweep(spec, system, mc)
+    sweep = run_sweep(spec, system, mc)
     problems = []
 
-    for family_value, records in _by_family(report).items():
+    for family_value, records in _by_family(sweep).items():
         records.sort(key=lambda r: r.swept_value)
         if number in (2, 3):
             caps = [r.vlc_capacity for r in records]
@@ -180,7 +180,7 @@ def test_figure_trends(system, number):
             if not all(b > a for a, b in zip(outs, outs[1:])):
                 problems.append(f"outage not increasing in rate threshold at {family_value}")
 
-    for swept_value, records in _by_grid_point(report).items():
+    for swept_value, records in _by_grid_point(sweep).items():
         records.sort(key=lambda r: r.family_value)
         if number in (2, 3):
             # Larger LED height (fig 2) or cell radius (fig 3) lowers capacity.
@@ -233,7 +233,7 @@ def test_sweep_determinism(system):
     spec = SweepSpec("relay_power", 0.05, 0.2, 3, "led_height", (2.15, 3.0))
     mc = McConfig(trials=4000, seed=11, batch_size=512)
     outputs = [
-        report_csv(run_sweep(spec, system, mc, workers=workers), system, mc)
+        report_csv(spec, run_sweep(spec, system, mc, workers=workers), system, mc)
         for workers in (1, 1, 3, 4)
     ]
     identical = all(text == outputs[0] for text in outputs[1:])

@@ -66,6 +66,27 @@ def test_fractional_step_count_refused(steps):
         SweepSpec("relay_power", 0.1, 0.2, steps)
 
 
+def test_non_numeric_sweep_ends_refused():
+    # 'a' < 'b' passed and stop - start ended in a TypeError.
+    with pytest.raises(ParameterError, match="sweep of 'relay_power': start must be real, got 'a'"):
+        SweepSpec("relay_power", "a", "b", 3)
+    with pytest.raises(ParameterError, match="sweep of 'relay_power': stop must be real, got None"):
+        SweepSpec("relay_power", 0.1, None, 3)
+
+
+@pytest.mark.parametrize("bad", ["x", True])
+def test_non_numeric_family_value_refused(bad, default_system):
+    # 'x' constructed and run_sweep ended in a TypeError; True ran as a 1 m LED height.
+    with pytest.raises(ParameterError, match="'relay_power': led_height value must be real"):
+        SweepSpec("relay_power", 0.1, 0.2, 2, "led_height", (2.5, bad))
+
+
+def test_unknown_variable_refused_by_with_variable(default_system):
+    # A bare KeyError before.
+    with pytest.raises(ParameterError, match=r"unknown sweep variable 'bogus'; expected one of \["):
+        with_variable(default_system, "bogus", 1.0)
+
+
 def test_huge_steps_argument_is_one_error_line(capsys):
     # A 401-digit count ended in an OverflowError traceback from the step.
     code = cli.main(["sweep", "--var", "relay_power", "--from", "0.1", "--to", "0.2",
@@ -184,35 +205,37 @@ def test_with_variable_refuses_as_dataclasses_replace(default_system, name, valu
 def test_minimal_sweep_record_count(default_system):
     mc = McConfig(trials=2000, seed=1)
     spec = SweepSpec("relay_power", 0.05, 0.1, 2, "led_height", (2.15, 2.5, 3.0))
-    report = run_sweep(spec, default_system, mc)
-    assert len(report.records) == 2 * 3
+    assert len(run_sweep(spec, default_system, mc)) == 2 * 3
     no_family = run_sweep(SweepSpec("relay_power", 0.05, 0.1, 2), default_system, mc)
-    assert len(no_family.records) == 2
-    assert all(r.family_value is None for r in no_family.records)
+    assert len(no_family) == 2
+    assert all(r.family_value is None for r in no_family)
+
+
+def _all_agree(records) -> bool:
+    return all(r.outage_agrees and r.capacity_within_bound for r in records)
 
 
 def test_sweep_agreement_flags(default_system):
     mc = McConfig(trials=50_000, seed=2)
     spec = SweepSpec("rate_threshold", 0.5, 2.0, 3)
-    report = run_sweep(spec, default_system, mc)
-    assert report.all_agree
+    assert _all_agree(run_sweep(spec, default_system, mc))
 
 
 def test_sweep_outage_agrees_with_a_sample_without_hits(default_system):
     # At 0.01 bits the analytic outage is 9.7e-7 and none of the 100k trials
     # is a hit (probability 0.91), a sample whose standard error is 0.
     mc = McConfig(trials=100_000, seed=1)
-    report = run_sweep(SweepSpec("rate_threshold", 0.01, 0.05, 3), default_system, mc)
-    first = report.records[0]
+    records = run_sweep(SweepSpec("rate_threshold", 0.01, 0.05, 3), default_system, mc)
+    first = records[0]
     assert first.mc_e2e_outage.mean == first.mc_e2e_outage.std_error == 0.0 < first.e2e_outage
-    assert report.all_agree
+    assert _all_agree(records)
 
 
 def test_csv_echoes_parameters_and_is_stable(default_system):
     mc = McConfig(trials=2000, seed=4)
     spec = SweepSpec("relay_power", 0.05, 0.1, 2, "led_height", (2.15, 3.0))
-    first = report_csv(run_sweep(spec, default_system, mc), default_system, mc)
-    second = report_csv(run_sweep(spec, default_system, mc), default_system, mc)
+    first = report_csv(spec, run_sweep(spec, default_system, mc), default_system, mc)
+    second = report_csv(spec, run_sweep(spec, default_system, mc), default_system, mc)
     assert first == second
     header = [line for line in first.splitlines() if line.startswith("#")]
     for key in ("plc.noise_variance", "vlc.semi_angle_rad", "mc.seed", "sweep.variable"):
@@ -224,8 +247,8 @@ def test_csv_echoes_parameters_and_is_stable(default_system):
 def test_csv_identical_across_worker_counts(default_system):
     mc = McConfig(trials=4000, seed=9, batch_size=512)
     spec = SweepSpec("relay_power", 0.05, 0.1, 2, "led_height", (2.15, 3.0))
-    serial = report_csv(run_sweep(spec, default_system, mc, workers=1), default_system, mc)
-    threaded = report_csv(run_sweep(spec, default_system, mc, workers=3), default_system, mc)
+    serial = report_csv(spec, run_sweep(spec, default_system, mc, workers=1), default_system, mc)
+    threaded = report_csv(spec, run_sweep(spec, default_system, mc, workers=3), default_system, mc)
     assert serial == threaded
 
 
@@ -234,8 +257,8 @@ def test_csv_identical_across_worker_counts(default_system):
 # ---------------------------------------------------------------------------
 
 def test_validation_passes_on_defaults(default_system):
-    rows, ok = run_validation(default_system, McConfig(trials=20_000, seed=1))
-    assert ok
+    rows = run_validation(default_system, McConfig(trials=20_000, seed=1))
+    assert all(r.agrees for r in rows)
     assert {r.name for r in rows} == {
         "plc_avg_capacity",
         "vlc_avg_capacity",
@@ -262,8 +285,7 @@ def test_validation_detects_corrupted_analytics(default_system, monkeypatch):
         return original(fake)
 
     monkeypatch.setattr(plc_link, "avg_capacity", corrupted)
-    rows, ok = run_validation(default_system, McConfig(trials=20_000, seed=1))
-    assert not ok
+    rows = run_validation(default_system, McConfig(trials=20_000, seed=1))
     failed = {r.name for r in rows if not r.agrees}
     assert "plc_avg_capacity" in failed
 
@@ -275,7 +297,7 @@ def test_validation_detects_corrupted_analytics(default_system, monkeypatch):
 def test_every_front_end_reports_the_evaluator_values(default_system, capsys):
     point = evaluate_point(default_system)
     assert set(point) == {
-        "snr_threshold", "plc_capacity", "vlc_capacity", "e2e_capacity_bound",
+        "plc_capacity", "vlc_capacity", "e2e_capacity_bound",
         "plc_outage", "vlc_outage", "e2e_outage",
     }
 
@@ -290,8 +312,9 @@ def test_every_front_end_reports_the_evaluator_values(default_system, capsys):
         if key in point:
             assert float(value) == point[key], name
     assert {eval_names.get(name, name) for name in printed} >= set(point)
+    assert float(printed["snr_threshold"]) == default_system.snr_threshold
 
-    rows, _ = run_validation(default_system, McConfig(trials=2000, seed=4))
+    rows = run_validation(default_system, McConfig(trials=2000, seed=4))
     validation_names = {
         "plc_avg_capacity": "plc_capacity",
         "vlc_avg_capacity": "vlc_capacity",
@@ -306,7 +329,7 @@ def test_every_front_end_reports_the_evaluator_values(default_system, capsys):
 
     # The first grid point of this sweep is the default system.
     spec = SweepSpec("relay_power", default_system.vlc.tx_power_w, 0.2, 2)
-    record = run_sweep(spec, default_system, McConfig(trials=2000, seed=4)).records[0]
+    record = run_sweep(spec, default_system, McConfig(trials=2000, seed=4))[0]
     for key, value in point.items():
         assert getattr(record, key) == value, key
 
@@ -374,15 +397,26 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, out):
     assert err.startswith(f"error: --out {out!r}") and err.count("\n") == 1
 
 
-def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
-    args = ["sweep", "--var", "relay_power", "--from", "0.05", "--to", "0.1",
-            "--steps", "2", *FAST]
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+def _assert_byte_identical_across_runs_and_workers(tmp_path, command):
+    # Two runs on one worker and one on three write the same bytes.
+    args = [*command, *FAST]
+    paths = [tmp_path / name for name in ("a.out", "b.out", "c.out")]
     assert cli.main([*args, "--out", str(paths[0])]) == 0
     assert cli.main([*args, "--out", str(paths[1])]) == 0
     assert cli.main([*args, "--workers", "3", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
+    _assert_byte_identical_across_runs_and_workers(
+        tmp_path, ["sweep", "--var", "relay_power", "--from", "0.05", "--to", "0.1", "--steps", "2"]
+    )
+
+
+@pytest.mark.parametrize("command", [["eval"], ["validate"], ["figure", "4"]], ids="-".join)
+def test_every_subcommand_byte_identical_across_runs_and_workers(tmp_path, command):
+    _assert_byte_identical_across_runs_and_workers(tmp_path, command)
 
 
 def test_figure_presets_run(tmp_path):

@@ -209,6 +209,7 @@ def test_every_key_is_named_or_evaluates_finite(key, value):
     if key in _MC_KEYS:
         return
     values = [
+        system.snr_threshold,
         *evaluate_point(system).values(),
         relay.e2e_avg_capacity_numeric(system),
         vlc_link.avg_capacity_quad(system.vlc),

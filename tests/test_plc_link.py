@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from plcvlc import plc_link, specfun
+from plcvlc import plc_link, specfun, vlc_link
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import MIN_TRIALS, McConfig, estimate_many, sample_plc_snr
@@ -355,6 +356,43 @@ def test_analytic_layer_reads_the_sampled_law():
     for sigma, mu in [(0.5, -4.0), (3.0, 0.0), (12.0, 4.0)]:
         p = make_params(fading_sigma_db=sigma, fading_mu_db=mu)
         assert sample_plc_snr(p, 0.0) == float(np.exp(p.law[0]))
+
+
+def _seeded_hops_and_offsets(count=300):
+    """(hop, x) pairs: hops over 0.1-100 dB spreads and 5-500 m cables, |x| <= 8."""
+    rng = random.Random(1)
+    return [
+        (make_params(fading_sigma_db=10.0 ** rng.uniform(-1.0, 2.0),
+                     distance_m=rng.uniform(5.0, 500.0)), rng.uniform(-8.0, 8.0))
+        for _ in range(count)
+    ]
+
+
+def test_outage_matches_mpmath_normal_cdf():
+    # An independent oracle: the 40-digit normal CDF of (ln t - m) / s.
+    for p, x in _seeded_hops_and_offsets():
+        m, s = p.law
+        threshold = math.exp(m + s * x)
+        with mp.workdps(40):
+            reference = float(mp.ncdf((mp.log(threshold) - m) / s))
+        assert outage(p, threshold) == pytest.approx(reference, abs=1e-15, rel=5e-14)
+
+
+def test_outage_symmetric_about_the_median():
+    for p, x in _seeded_hops_and_offsets():
+        m, s = p.law
+        median, k = math.exp(m), math.exp(s * x)
+        assert outage(p, median * k) + outage(p, median / k) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("hop", ["plc", "vlc"])
+@pytest.mark.parametrize("sigma_db", [0.0, 3.0])
+def test_outage_refuses_a_nan_threshold(hop, sigma_db):
+    # At zero spread the PLC step returned 1.0 and the VLC outage returned nan.
+    system, _ = load_config(None, {"fading_sigma_db": sigma_db})
+    hop_outage = {"plc": outage, "vlc": vlc_link.outage}[hop]
+    with pytest.raises(ParameterError, match="snr_threshold"):
+        hop_outage(getattr(system, hop), math.nan)
 
 
 def test_outage_matches_empirical_cdf():

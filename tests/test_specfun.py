@@ -4,12 +4,10 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from plcvlc import plc_link, specfun
 from plcvlc.errors import ParameterError
-from plcvlc.specfun import gauss_legendre_panels, hyp2f1, std_normal_cdf
+from plcvlc.specfun import gauss_legendre_panels, hyp2f1
 
 mp.mp.dps = 30
 
@@ -141,42 +139,6 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
         nodes, weights = gauss_legendre_panels(*args, **kwargs)
         ref_nodes, ref_weights = _panels_with_array_splits(*args, **kwargs)
         assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
-
-
-# ---------------------------------------------------------------------------
-# std_normal_cdf
-# ---------------------------------------------------------------------------
-
-def test_cdf_at_zero():
-    assert std_normal_cdf(0.0) == 0.5
-
-
-def test_cdf_saturates():
-    assert abs(std_normal_cdf(40.0) - 1.0) <= 1e-15
-
-
-def test_cdf_at_one():
-    # 0.8413447460685429... from a 30-digit erf evaluation
-    assert std_normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
-    assert std_normal_cdf(1.0) == pytest.approx(float(mp.ncdf(1)), abs=1e-14)
-
-
-def test_cdf_monotone():
-    grid = np.linspace(-12.0, 12.0, 4001)
-    values = [std_normal_cdf(x) for x in grid]
-    assert all(0.0 <= v <= 1.0 for v in values)
-    assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_cdf_symmetry(x):
-    assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_cdf_rejects_nan():
-    with pytest.raises(ParameterError):
-        std_normal_cdf(float("nan"))
 
 
 # ---------------------------------------------------------------------------
