@@ -8,7 +8,8 @@ power gain is N(2*mu, (2*sigma)^2)).
 
 So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
 s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic,
-read by the mean and outage here, the sampler and the end-to-end integral.
+read by the mean and outage here, the sampler and the end-to-end integral,
+whose PLC factor is the survival P(ln(gamma) > y), ``_survival``.
 At zero spread it is a point mass at the sampler's SNR float(np.exp(m)).
 The mean capacity is E[softplus(m + s*Z)] / ln 2; ``avg_capacity`` takes it
 with one composite Gauss-Legendre rule in z against the normal density.
@@ -111,35 +112,35 @@ def avg_capacity(p: PlcLinkParams) -> float:
     At zero spread that is NumPy's log1p of the point mass over ln 2, the
     sampled capacity bit for bit (m / ln 2 where exp(m) overflows, as in the
     sampler).  Otherwise it is one composite Gauss-Legendre rule in z against
-    the normal density, ``specfun.PANEL_ORDER`` nodes per panel, over
-    [-9, max(0, min(s, z0)) + 9], where softplus(m + s*z) * phi(z) has its
-    mass, cut at 0, at the kink z0 = -m/s and at z0 +- 4/s and z0 +- 32/s,
-    in front of the branch points of softplus at y = +-i*pi.  The README
-    gives its measured accuracy (within 1.5e-15 relative of mpmath).  No
-    duplexing factor is applied here; time sharing is accounted for at the
-    system level.
+    the normal density over ``_z_span``, cut at 0, at the kink z0 = -m/s and
+    at z0 + y/s for y in ``KINK_CUTS`` (README, "Power-line mean capacity",
+    for the reasons and its accuracy).  No duplexing factor is applied here.
     """
     m, s = p.law
     if s == 0.0:
         snr = _point_mass(m)
         return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
-    return _softplus_sum(m, s, *_z_rule(m, s)) / _LN2
+    z, w = _z_rule(m, s)
+    nepers = float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
+    return nepers / _LN2
 
 
-def _softplus_sum(m: float, s: float, z: np.ndarray, w: np.ndarray) -> float:
-    """The sum of w * phi(z) * softplus(m + s*z) over a rule (z, w), in nepers."""
-    return float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
-
-
-def _z_rule(m: float, s: float, top: float = math.inf, cuts=()) -> tuple[np.ndarray, np.ndarray]:
-    """``avg_capacity``'s rule in z, capped at ``top`` and also cut at ``cuts`` (for ``relay``).
-
-    ``PANEL_ORDER`` is read at each call, so a test can patch it."""
+def _z_rule(m: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """``avg_capacity``'s rule in z, reading ``PANEL_ORDER`` at each call (tests patch it)."""
     kink = -m / s
     return gauss_legendre_panels(
-        -_NORMAL_TAIL, min(max(0.0, min(s, kink)) + _NORMAL_TAIL, top), PANEL_ORDER,
-        (0.0, *cuts, *(kink + y / s for y in KINK_CUTS)),
+        *_z_span(m, s), PANEL_ORDER, (0.0, *(kink + y / s for y in KINK_CUTS))
     )
+
+
+def _z_span(m: float, s: float) -> tuple[float, float]:
+    """[-9, max(0, min(s, -m/s)) + 9], where softplus(m + s*z) * phi(z) has its mass."""
+    return -_NORMAL_TAIL, max(0.0, min(s, -m / s)) + _NORMAL_TAIL
+
+
+def _survival(m: float, s: float, y: np.ndarray) -> np.ndarray:
+    """P(ln(gamma) > y) = erfc((y - m) / (s * sqrt 2)) / 2 at each y, for s > 0."""
+    return 0.5 * np.fromiter(map(math.erfc, ((y - m) / (s * _SQRT2)).tolist()), float, y.size)
 
 
 def _point_mass(centre: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import plc_link, vlc_link
+from . import plc_link, specfun, vlc_link
 from .errors import ParameterError
 from .plc_link import PlcLinkParams
 from .vlc_link import VlcLinkParams
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -88,46 +87,29 @@ def e2e_outage_analytic(s: RelaySystemParams) -> float:
 def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     """Mean end-to-end capacity E[duplex_factor * min(C_plc, C_vlc)].
 
-    The analytic counterpart of the sampled estimate: the integral over t of
-    P(C_plc > t) * P(C_vlc > t), by one Gauss-Legendre rule in the PLC's
-    normal variable z (README, "End-to-end mean capacity", for the method
-    and its measured accuracy).  Where both hops are point masses (zero PLC
-    spread, a one-point VLC support) it is the capacity of the smaller SNR,
-    in the sampler's bits.
+    The analytic counterpart of the sampled estimate: min(snr_plc, snr_vlc)
+    survives y in log-SNR with probability S_plc(y) * S_vlc(y), whose
+    ``specfun.softplus_mean`` is cut at the PLC median m, the cell edge and
+    the ends of the PLC mean's rule (README, "Mean capacities").  A zero or
+    subnormal spread makes S_plc a step at the point mass exp(m); where one
+    SNR is left, the result is its capacity in the sampler's bits.
     """
     m, spread = s.plc.law
-    vlc_m, _, _, _, t_min, t_max, rho = s.vlc.law
-    log_rho = math.log(rho)
-    y_edge, y_top = log_rho + math.log(t_min), log_rho + math.log(t_max)
-    # A zero or subnormal spread is the point mass exp(m): all of it lies below z = -9.
-    z_edge = z_top = -math.inf
-    if spread >= sys.float_info.min:
-        z_edge, z_top = (y_edge - m) / spread, (y_top - m) / spread
-    tail = plc_link._NORMAL_TAIL
-    if z_edge < -tail:
-        # The PLC hop survives below the rule's start z = -9 (but for 1e-19),
-        # so up to exp(m - 9s) the integral is the VLC capacity clipped there.
-        clip = plc_link._point_mass(m - tail * spread)
-        bits, nepers = vlc_link._capacity_by_rule(s.vlc, clip), 0.0
-        if z_top <= -tail:
-            return s.duplex_factor * bits
+    y_edge, y_top, vlc_survival = vlc_link._log_snr_law(s.vlc.law)
+    if spread < sys.float_info.min:
+        snr, t_min, t_max, rho = plc_link._point_mass(m), *s.vlc.law[4:]
+        if vlc_survival is None or snr <= rho * t_min:
+            return s.duplex_factor * float(np.log1p(min(snr, rho * t_max))) / _LN2
+        nepers = specfun.softplus_mean(vlc_survival, y_edge, min(y_top, m))
     else:
-        # By parts, the integral below the edge is the PLC mean clipped there.
-        bits, nepers = 0.0, 0.5 * math.erfc(z_edge / _SQRT2) * float(np.logaddexp(0.0, y_edge))
-    # The PLC mean's rule, ending at the top of the cell and also cut at its edge.
-    z, w = plc_link._z_rule(m, spread, z_top, (z_edge,))
-    below = int(np.searchsorted(z, z_edge))
-    nepers += plc_link._softplus_sum(m, spread, z[:below], w[:below])
-    beta = 1.0 / (vlc_m + 3.0)
-    u_low, u_high = t_max ** -beta, t_min ** -beta
-    if u_low < u_high:
-        # Above it, P(C_plc > t) * P(C_vlc > t) * dt/dz, with the VLC survival
-        # linear in u = (snr/rho)**-beta and dt/dy = expit(y) nepers.
-        z = z[below:]
-        y = m + spread * z
-        survival = np.fromiter(map(math.erfc, (z / _SQRT2).tolist()), float, z.size)
-        survival *= np.exp(beta * (log_rho - y)) - u_low
-        snr = np.exp(y)
-        survival *= snr / (1.0 + snr)
-        nepers += 0.5 * spread * (float(w[below:] @ survival) / (u_high - u_low))
-    return s.duplex_factor * (bits + nepers / _LN2)
+        plc_low, plc_high = (m + spread * z for z in plc_link._z_span(m, spread))
+
+        def survival(y: np.ndarray) -> np.ndarray:
+            keep = plc_link._survival(m, spread, y)
+            # Below the cell edge the VLC hop survives: its survival is 1 there.
+            return keep if vlc_survival is None else keep * np.minimum(vlc_survival(y), 1.0)
+
+        nepers = specfun.softplus_mean(
+            survival, min(y_edge, plc_low), min(y_top, plc_high), (m, y_edge, plc_low, plc_high)
+        )
+    return s.duplex_factor * nepers / _LN2

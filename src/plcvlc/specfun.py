@@ -1,9 +1,10 @@
-"""Special-function kernel: composite Gauss-Legendre rules and the Gauss hypergeometric.
+"""Special-function kernel: Gauss-Legendre rules, the mean capacity kernel and the 2F1.
 
 The quadrature rule comes from NumPy (``numpy.polynomial.legendre.leggauss``),
-tiled once per panel count and cached read-only in a bounded cache; the one
-2F1 family the VLC closed form needs, 2F1(1, b; b+1; z) on -1 <= z <= 0, is a
-native series.  Errors name the offending argument.
+tiled once per panel count and cached read-only in a bounded cache;
+``softplus_mean`` takes a mean capacity on it from a log-SNR survival.  The
+one 2F1 family the VLC closed form needs, 2F1(1, b; b+1; z) on -1 <= z <= 0,
+is a native series.  Errors name the offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -19,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError
 
-__all__ = ["gauss_legendre_panels", "hyp2f1"]
+__all__ = ["gauss_legendre_panels", "softplus_mean", "hyp2f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +43,18 @@ def _tiled_legendre_arrays(order: int, panels: int) -> tuple[np.ndarray, np.ndar
 
 
 def gauss_legendre_panels(
-    low: float, high: float, order: int, splits=(), grading: float = math.inf
+    low: float, high: float, order: int, splits=()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule over [low, high].
 
     The interval is cut at each split point strictly inside it (others are
-    ignored) and, for 0 < low, at low * grading**k, and each segment into two
-    equal panels of ``order`` nodes; ``weights @ f(nodes)`` then integrates f
-    in one vectorised call.  A Gauss rule converges at a rate set by the
-    integrand's nearest complex singularity (Trefethen, "Is Gauss quadrature
-    better than Clenshaw-Curtis?", SIAM Rev. 2008), so split beside such
-    singularities and at kinks or steps, and grade toward a singularity at 0.
+    ignored), and each segment into two equal panels of ``order`` nodes;
+    ``weights @ f(nodes)`` then integrates f in one vectorised call.  A Gauss
+    rule converges at a rate set by the integrand's nearest complex
+    singularity (Trefethen, "Is Gauss quadrature better than
+    Clenshaw-Curtis?", SIAM Rev. 2008), so split beside such singularities
+    and at kinks or steps.
     """
-    if 0.0 < low and high / low > grading:
-        graded = range(1, math.ceil(math.log(high / low, grading)))
-        splits = (*splits, *(low * grading ** k for k in graded))
     edges = [low, *sorted({p for p in splits if low < p < high}), high]
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
     half = (cuts[1:] - cuts[:-1]) / 2.0
@@ -65,6 +63,24 @@ def gauss_legendre_panels(
     xs, ws = _tiled_legendre_arrays(order, half.size)
     half = half.repeat(order)
     return half * xs + centre.repeat(order), half * ws
+
+
+def softplus_mean(survival, low: float, high: float, cuts=()) -> float:
+    """E[softplus(Y)] = softplus(low) + the integral of S(y) * expit(y) over [low, high].
+
+    ``survival`` is S(y) = P(Y > y), vectorised, for Y within [low, high];
+    for Y = ln(snr) this is E[log(1 + snr)] in nepers.  One rule of
+    ``PANEL_ORDER`` nodes a panel, cut at ``KINK_CUTS``, at ``cuts`` and, where
+    expit(y) is about e^y, every 8 nepers for 48 nepers below min(high, -4)
+    (README, "Mean capacities").  S and expit are taken with overflow ignored
+    (expit is 0 below y = -709).
+    """
+    top = min(high, KINK_CUTS[1])
+    tail = (top - 8.0 * k for k in range(1, 7))
+    y, w = gauss_legendre_panels(low, high, PANEL_ORDER, (*KINK_CUTS, *cuts, *tail))
+    with np.errstate(over="ignore"):
+        integrand = survival(y) / (1.0 + np.exp(-y))
+    return max(low, 0.0) + math.log1p(math.exp(-abs(low))) + float(w @ integrand)
 
 
 # ---------------------------------------------------------------------------

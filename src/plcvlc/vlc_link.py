@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, hyp2f1
+from .specfun import hyp2f1, softplus_mean
 
 __all__ = [
     "VlcLinkParams",
@@ -37,9 +37,7 @@ __all__ = [
 # 1e-3 and 5 degrees, 4.6e-8 at 2e-9) and avg_capacity_quad's rule stands in;
 # above it the closed form was up to 9.1e-12 off mpmath at 3-15 degrees.
 _NARROW_WIDTH = 1e-2
-# u = t**(-1/(m+3)) has a branch point at 0 (it is proportional to r^2 + L^2),
-# so rules in u cut at u_low * _U_GRADING**k.
-_U_GRADING = 4.0
+_LN2 = math.log(2.0)
 
 
 class VlcLaw(NamedTuple):
@@ -202,41 +200,35 @@ def gain_sq_cdf(x, p: VlcLinkParams):
 def avg_capacity_quad(p: VlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + rho * h^2)] by composite Gauss-Legendre.
 
-    rho = P_r / sigma_d^2.  Integrates log(1 + rho*t) against the squared-gain
-    density in u = t**(-1/(m+3)), where the density is constant, with
-    ``PANEL_ORDER`` nodes per panel, cut where ln(rho*t) is in ``KINK_CUTS``,
-    at u_low * _U_GRADING**k and at u_low * (1 + 4**k/(m+3)) for 4**k < m+3;
-    the README ("VLC quadrature") gives the reasons and its measured accuracy.
-    No duplexing factor is applied here; time sharing is accounted for at the
-    system level.
+    ``specfun.softplus_mean`` of the log-SNR survival (README, "Mean capacities"),
+    rho = P_r / sigma_d^2; on a point-mass support (a vanishing cell) NumPy's
+    log1p(rho*t_max) / ln 2, the sampler's bits.  No duplexing factor is applied.
     """
-    return _capacity_by_rule(p)
+    low, high, survival = _log_snr_law(p.law)
+    if survival is None:
+        return float(np.log1p(p.law.rho * p.law.t_max)) / _LN2
+    return softplus_mean(survival, low, high) / _LN2
 
 
-def _capacity_by_rule(p: VlcLinkParams, snr_clip: float = math.inf) -> float:
-    """``avg_capacity_quad`` of min(C, log2(1 + snr_clip))."""
-    m, _, _, _, t_min, t_max, rho = p.law
+def _log_snr_law(law: VlcLaw):
+    """The support [low, high] of y = ln(rho*t) and P(ln(rho*t) > y) there, None at one point.
+
+    u = (e^y / rho)**(-1/(m+3)) is uniform over the cell, so the survival is
+    (u - u_low) / (u_high - u_low) = expm1(beta*(high - y)) / expm1(beta*(high
+    - low)) with beta = 1/(m+3), with no difference of nearly equal u to cancel.
+    """
+    m, _, _, _, t_min, t_max, rho = law
+    log_rho = math.log(rho)
+    low, high = log_rho + math.log(t_min), log_rho + math.log(t_max)
+    if not low < high:
+        return low, high, None
     beta = 1.0 / (m + 3.0)
-    u_low = t_max ** -beta
-    u_high = t_min ** -beta
-    width = u_high - u_low
-    if width <= 0.0 or snr_clip <= rho * t_min:
-        # A point-mass support (vanishing cell), where every user sees t_max,
-        # or a clip below the support: NumPy's log1p, the sampler's bits.
-        return float(np.log1p(min(rho * t_max, snr_clip))) / math.log(2.0)
-    knee = rho ** beta  # u at rho*t = 1; u = knee * exp(-beta*y) at y = ln(rho*t)
-    cuts = [*(knee * math.exp(-y * beta) for y in KINK_CUTS), (snr_clip / rho) ** -beta]
-    layer = beta
-    while layer < 1.0:
-        cuts.append(u_low * (1.0 + layer))
-        layer *= 4.0
-    u, w = gauss_legendre_panels(u_low, u_high, PANEL_ORDER, cuts, grading=_U_GRADING)
-    capacity = np.log1p(rho * u ** (-(m + 3.0)))
-    if snr_clip < math.inf:
-        capacity = np.minimum(capacity, math.log1p(snr_clip))
-    # c_const * width / r^2 is exactly the unit probability mass; normalizing
-    # by the computed width keeps the mean exact when the support is narrow.
-    return float(w @ capacity) / (width * math.log(2.0))
+    scale = 1.0 / math.expm1(beta * (high - low))
+
+    def survival(y: np.ndarray) -> np.ndarray:
+        return np.expm1(beta * (high - y)) * scale
+
+    return low, high, survival
 
 
 def avg_capacity_closed(p: VlcLinkParams) -> float:
@@ -261,7 +253,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     m, c_const, r_sq, _, t_min, t_max, rho = p.law
     beta = 1.0 / (m + 3.0)
     if t_min ** -beta - t_max ** -beta < _NARROW_WIDTH * t_max ** -beta:
-        return _capacity_by_rule(p)
+        return avg_capacity_quad(p)
 
     def antiderivative(t: float) -> float:
         z = t * rho
@@ -277,7 +269,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     total = antiderivative(t_max) - antiderivative(t_min)
     if t_min * rho <= 1.0 < t_max * rho:
         total += math.pi / math.sin(math.pi * beta) * rho ** beta
-    return c_const / (r_sq * math.log(2.0)) * total
+    return c_const / (r_sq * _LN2) * total
 
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:

@@ -1,12 +1,26 @@
 import pytest
 
-from plcvlc import load_config, plc_link
+from plcvlc import load_config, plc_link, specfun
 
 
 @pytest.fixture(scope="session")
 def default_system():
     system, _ = load_config(None)
     return system
+
+
+def _record_sizes(monkeypatch, module, name):
+    """Patch ``module.name``, a rule builder, to record the node count of every rule it builds."""
+    sizes = []
+    rule = getattr(module, name)
+
+    def recording(*args):
+        nodes, weights = rule(*args)
+        sizes.append(nodes.size)
+        return nodes, weights
+
+    monkeypatch.setattr(module, name, recording)
+    return sizes
 
 
 @pytest.fixture
@@ -16,13 +30,13 @@ def z_rule_sizes(monkeypatch):
     A test doubles the nodes by patching ``plc_link.PANEL_ORDER``; the sizes
     show that the patched rule really has twice as many.
     """
-    sizes = []
-    rule = plc_link._z_rule
+    return _record_sizes(monkeypatch, plc_link, "_z_rule")
 
-    def recording(*args):
-        z, w = rule(*args)
-        sizes.append(z.size)
-        return z, w
 
-    monkeypatch.setattr(plc_link, "_z_rule", recording)
-    return sizes
+@pytest.fixture
+def y_rule_sizes(monkeypatch):
+    """The node count of every rule ``specfun.softplus_mean`` builds, in call order.
+
+    A test doubles the nodes by patching ``specfun.PANEL_ORDER``.
+    """
+    return _record_sizes(monkeypatch, specfun, "gauss_legendre_panels")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcvlc import montecarlo, plc_link, specfun, vlc_link
+from plcvlc import montecarlo, specfun, vlc_link
 from plcvlc.config import load_config
 from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
@@ -222,19 +222,31 @@ def test_numeric_mean_capacity_at_a_huge_spread(sigma_db, radius_m):
         value = e2e_avg_capacity_numeric(s)
     assert math.isfinite(value)
     assert value == pytest.approx(
-        s.duplex_factor * 0.5 * vlc_link.avg_capacity_quad(s.vlc), rel=1e-9, abs=0.0
+        s.duplex_factor * 0.5 * vlc_link.avg_capacity_quad(s.vlc), rel=1e-13, abs=0.0
     )
 
 
-def test_numeric_mean_capacity_error_estimate(default_system, z_rule_sizes, monkeypatch):
-    # The error estimate is the distance to the rule with twice the nodes.
-    value = e2e_avg_capacity_numeric(default_system)
-    monkeypatch.setattr(plc_link, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
-    finer = e2e_avg_capacity_numeric(default_system)
-    assert z_rule_sizes[1] == 2 * z_rule_sizes[0]
-    assert 0.0 <= abs(finer - value) <= 1e-12 * value
-    # At zero spread there is no rule in z: the VLC capacity clipped at the
-    # PLC point mass meets the reference.
+def test_numeric_mean_capacity_error_estimate(default_system, y_rule_sizes, monkeypatch):
+    # The error estimate of the end-to-end and the VLC means is the distance
+    # to the rule with twice the nodes, at the default point and at points
+    # that take the tail cuts.
+    systems = [default_system, *(_system(default_system, *case)
+                                 for case in (_WIDE_SPREAD, _DIM_NARROW_CELL))]
+
+    def means():
+        return [f(s) for s in systems
+                for f in (e2e_avg_capacity_numeric, lambda s: vlc_link.avg_capacity_quad(s.vlc))]
+
+    values = means()
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
+    finer = means()
+    half = len(y_rule_sizes) // 2
+    assert len(y_rule_sizes) == 2 * len(values)
+    assert y_rule_sizes[half:] == [2 * size for size in y_rule_sizes[:half]]
+    for value, fine in zip(values, finer):
+        assert 0.0 <= abs(fine - value) <= 1e-12 * value
+    # At zero spread the PLC survival is a step at its point mass: the VLC
+    # capacity clipped there meets the reference.
     s = dataclasses.replace(
         default_system, plc=dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
     )
@@ -344,10 +356,18 @@ _ADAPTIVE_QUAD_FAILURES = [
 
 
 # (height, radius, power, distance, semi-angle in degrees, sigma in dB) of a
-# 3.5-degree beam, where the former rule in u, without the boundary-layer
-# cuts of avg_capacity_quad, was 6.2e-7 off.
+# 3.5-degree beam, where a rule in u without cuts in the boundary layer at
+# the nadir was 6.2e-7 off.
 _NARROW_BEAM = (2.691936017601873, 6.201900143580717, 1.2764113075449068,
                 5.533551669281857, 3.493502303788138, 1.2768473040731503)
+# A 98.9 dB spread: the mean of min(C_plc, C_vlc), about 3e-7 bits, lies below
+# y = -32 in log-SNR, where expit(y) falls like e^y.  The former rule in the
+# PLC's z spanned that tail, about 9s = 410 nepers, with one segment of two
+# panels and was 1.1e-11 off.
+_WIDE_SPREAD = (2.34, 6.36, 1.1e-8, 30.0, 43.0, 98.9)
+# A 6.49-degree cell whose SNR stays below e^-4 (2.2e-2 at the nadir): the
+# mean lies in [-32, -4], which takes the tail cuts (tests/test_vlc_link.py).
+_DIM_NARROW_CELL = (2.63, 4.79, 3.46e-8, 30.0, 6.49, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -378,6 +398,7 @@ def test_numeric_mean_capacity_matches_split_reference(
         _NARROW_BEAM,
         # zero spread, with the PLC point mass inside a 30 m cell's VLC support
         (2.5, 30.0, 0.1, 30.0, 60.0, 0.0),
+        _WIDE_SPREAD,
     ],
 )
 def test_numeric_mean_capacity_to_13_digits(default_system, case):
@@ -385,7 +406,7 @@ def test_numeric_mean_capacity_to_13_digits(default_system, case):
     if s.plc.fading_sigma_db == 0.0:
         reference = _zero_spread_reference(s)
     else:
-        reference = _survival_product_reference(s, dps=40)
+        reference = _survival_product_reference(s, dps=50)
     assert e2e_avg_capacity_numeric(s) == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
@@ -410,3 +431,27 @@ def test_numeric_mean_capacity_at_a_high_plc_median(default_system, sigma_db, mu
     )
     value = e2e_avg_capacity_numeric(s) / s.duplex_factor
     assert value == pytest.approx(plc_mean, rel=2e-15, abs=0.0)
+
+
+def test_means_finite_without_warnings_over_widened_grid_ranges(default_system):
+    # 200 seeded points over the benchmark's analytic-grid ranges, with the
+    # semi-angle widened from [30, 80] to [15, 80] degrees and fading in
+    # {0} and [0.5, 6] dB.  A NumericDomainError once ended the end-to-end
+    # mean below about 28 degrees at radii above about 3.6 m.
+    rng = np.random.default_rng(26)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            sigma_db = rng.uniform(0.0, 6.0)
+            s = _system(
+                default_system,
+                height=rng.uniform(2.15, 3.0),
+                radius=rng.uniform(2.5, 4.5),
+                power=rng.uniform(0.02, 0.5),
+                distance=rng.uniform(5.0, 200.0),
+                semi_angle_deg=rng.uniform(15.0, 80.0),
+                sigma_db=sigma_db if sigma_db >= 0.5 else 0.0,
+            )
+            means = (vlc_link.avg_capacity_quad(s.vlc), vlc_link.avg_capacity_closed(s.vlc),
+                     e2e_avg_capacity_numeric(s))
+            assert all(0.0 < value < math.inf for value in means)

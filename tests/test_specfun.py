@@ -47,14 +47,6 @@ def test_panels_integrate_piecewise_polynomials_exactly():
     assert weights @ values == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
-def test_panels_graded_toward_zero():
-    nodes, weights = gauss_legendre_panels(1.0, 1e6, 16, grading=4.0)
-    # ceil(log4(1e6)) = 10 segments of two panels each.
-    assert nodes.size == 10 * 2 * 16
-    assert weights @ (1.0 / nodes) == pytest.approx(math.log(1e6), rel=1e-13, abs=0.0)
-    assert gauss_legendre_panels(1.0, 1e6, 16)[0].size == 2 * 16
-
-
 def test_panels_are_fresh_writable_arrays_off_read_only_tiles():
     from plcvlc import specfun
 
@@ -89,11 +81,9 @@ def test_panel_tile_cache_is_bounded():
     assert specfun._tiled_legendre_arrays.cache_info().currsize <= maxsize
 
 
-def _panels_with_array_splits(low, high, order, splits=(), grading=math.inf):
-    """The rule with its graded splits formed as a NumPy array (reference)."""
+def _panels_with_array_splits(low, high, order, splits=()):
+    """The rule with its panels formed as a (panels, order) NumPy array (reference)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    if 0.0 < low and high / low > grading:
-        splits = (*splits, *low * grading ** np.arange(1, math.ceil(math.log(high / low, grading))))
     edges = [low, *sorted({p for p in splits if low < p < high}), high]
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
     half = (cuts[1:, None] - cuts[:-1, None]) / 2.0
@@ -110,12 +100,13 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
 
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return gauss_legendre_panels(*args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return gauss_legendre_panels(*args)
 
+    # plc_link's density rule, and specfun.softplus_mean's rule in log-SNR.
     monkeypatch.setattr(plc_link, "gauss_legendre_panels", recording)
-    monkeypatch.setattr(vlc_link, "gauss_legendre_panels", recording)
+    monkeypatch.setattr(specfun, "gauss_legendre_panels", recording)
     rng = np.random.default_rng(3)
     for _ in range(60):
         plc = dataclasses.replace(
@@ -134,10 +125,10 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
         sweeps.evaluate_point(system)
         vlc_link.avg_capacity_quad(vlc)
         relay.e2e_avg_capacity_numeric(system)
-    assert any(kwargs.get("grading", math.inf) < math.inf for _, kwargs in calls)
-    for args, kwargs in calls:
-        nodes, weights = gauss_legendre_panels(*args, **kwargs)
-        ref_nodes, ref_weights = _panels_with_array_splits(*args, **kwargs)
+    assert len(calls) >= 2 * 60  # the VLC and end-to-end rules at every point
+    for args in calls:
+        nodes, weights = gauss_legendre_panels(*args)
+        ref_nodes, ref_weights = _panels_with_array_splits(*args)
         assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 

@@ -388,9 +388,9 @@ def test_closed_matches_mpmath_on_each_side_of_the_knee(power, semi_angle_deg):
     assert avg_capacity_closed(p) == pytest.approx(closed_form_reference(p), rel=1e-13, abs=0.0)
 
 
-# The rule's variable u = t**(-1/(m+3)) spans a factor 1 + (radius/height)**2.
-# Without cuts graded toward u = 0 the rule drifted from the closed form by
-# 1.5e-9 at a 10 m cell, 2e-2 at 50 m and 0.26 at 1000 m.
+# u = t**(-1/(m+3)) spans a factor 1 + (radius/height)**2.  A rule in u
+# without cuts graded toward u = 0 drifted from the closed form by 1.5e-9 at
+# a 10 m cell, 2e-2 at 50 m and 0.26 at 1000 m.
 @pytest.mark.parametrize(
     "radius,semi_angle_deg",
     [(10.0, 20.0), (50.0, 20.0), (1e3, 20.0), (50.0, 60.0), (1e3, 80.0), (1e20, 60.0)],
@@ -468,6 +468,17 @@ def test_quadrature_is_cut_beside_the_knee():
     assert avg_capacity_quad(p) == pytest.approx(cut_u_integral_reference(p), rel=1e-13, abs=0.0)
 
 
+# The SNR stays below e^-4 over this cell (2.2e-2 at the nadir), so the mean
+# lies in [-32, -4] in log-SNR.  Cut there only at KINK_CUTS, one segment of
+# two 14-neper panels beside the poles of expit at +-i*pi, the rule was
+# 1.6e-13 off; the tail cuts every 8 nepers below min(ln(rho*t_max), -4)
+# resolve it.
+def test_quadrature_is_cut_below_a_dim_top():
+    p = make_params(semi_angle_rad=math.radians(6.49), cell_radius_m=4.79, height_m=2.63,
+                    tx_power_w=3.46e-8)
+    assert avg_capacity_quad(p) == pytest.approx(cut_u_integral_reference(p), rel=1e-13, abs=0.0)
+
+
 def test_quadrature_matches_mpmath_on_random_narrow_beams():
     rng = np.random.default_rng(38)
     checked = 0
@@ -483,8 +494,8 @@ def test_quadrature_matches_mpmath_on_random_narrow_beams():
         checked += 1
 
 
-# log1p(rho * u**-(m+3)) falls over a relative width 1/(m+3) from u_low; without
-# cuts there the rule was 1.4e-6, 4.1e-6 and 1.1e-4 off at 5, 4 and 3 degrees.
+# log1p(rho * u**-(m+3)) falls over a relative width 1/(m+3) from u_low; a rule
+# in u without cuts there was 1.4e-6, 4.1e-6 and 1.1e-4 off at 5, 4 and 3 degrees.
 @pytest.mark.parametrize("semi_angle_deg", [3.0, 3.5, 4.0, 5.0])
 def test_quadrature_resolves_narrow_beams(semi_angle_deg):
     p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
