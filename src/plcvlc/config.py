@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import re
 import sys
 from pathlib import Path
 
 from . import plc_link
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, is_real
 from .montecarlo import McConfig
 from .plc_link import PlcLinkParams
 from .relay import RelaySystemParams
@@ -218,9 +217,8 @@ def load_config(
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # None is allowed where it is the default: plc_noise_variance.
-        if not real and not (value is None and DEFAULTS[key] is None):
+        if not is_real(value) and not (value is None and DEFAULTS[key] is None):
             raise ConfigError(f"key '{key}' must be a real number, got {value!r}")
     values: dict[str, float | int] = {}
     if path is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .plc_link import PlcLinkParams
 from .relay import RelaySystemParams
 from .vlc_link import VlcLinkParams, gain_sq
@@ -72,21 +72,16 @@ class McConfig:
     batch_size: int = 65_536
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.trials):
+        if not is_integer(self.trials):
             raise ParameterError("McConfig.trials must be an integer")
         if self.trials < MIN_TRIALS:
             raise ParameterError(
                 f"McConfig.trials must be at least {MIN_TRIALS} for a reported estimate"
             )
-        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
+        if not is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
             raise ParameterError("McConfig.seed must be a 64-bit unsigned integer")
-        if not _is_integer(self.batch_size) or self.batch_size < 1:
+        if not is_integer(self.batch_size) or self.batch_size < 1:
             raise ParameterError("McConfig.batch_size must be a positive integer")
-
-
-def _is_integer(value) -> bool:
-    """An int or NumPy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,7 @@ def estimate_many(
     ``workers`` threads, never more threads than batches.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
-    if not _is_integer(workers) or workers < 1:
+    if not is_integer(workers) or workers < 1:
         raise ParameterError(f"workers must be a positive integer, got {workers!r}")
     if not slots:
         return []

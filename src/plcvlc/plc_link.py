@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FINITE, NONNEGATIVE, POSITIVE, ParameterError, check_fields, check_value
 from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
@@ -64,15 +64,9 @@ class PlcLinkParams:
     quadrature_order = PANEL_ORDER
 
     def __post_init__(self) -> None:
-        for name in ("frequency_hz", "distance_m", "tx_power_w", "noise_variance"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"PlcLinkParams.{name} must be strictly positive")
-        for name in ("atten_a0", "atten_a1", "fading_sigma_db"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"PlcLinkParams.{name} must be finite and nonnegative")
-        for name in ("atten_k", "fading_mu_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"PlcLinkParams.{name} must be finite")
+        check_fields(self, POSITIVE, ("frequency_hz", "distance_m", "tx_power_w", "noise_variance"))
+        check_fields(self, NONNEGATIVE, ("atten_a0", "atten_a1", "fading_sigma_db"))
+        check_fields(self, FINITE, ("atten_k", "fading_mu_db"))
         try:
             scale = snr_scale(self)
         except OverflowError:  # from frequency_hz ** atten_k
@@ -157,8 +151,7 @@ def outage(p: PlcLinkParams, snr_threshold: float) -> float:
     With zero fading spread the SNR is the point mass ``_point_mass`` and the
     result is a step there.
     """
-    if math.isnan(snr_threshold):
-        raise ParameterError("plc_link.outage: snr_threshold must not be NaN")
+    check_value("plc_link.outage: snr_threshold", snr_threshold, FINITE)
     if snr_threshold <= 0.0:
         return 0.0
     centre, spread = p.law

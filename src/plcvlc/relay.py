@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plc_link, specfun, vlc_link
-from .errors import ParameterError
+from .errors import NONNEGATIVE, ParameterError, check_fields, check_value
 from .plc_link import PlcLinkParams
 from .vlc_link import VlcLinkParams
 
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_DUPLEX = (5e-324, 1.0, "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,8 @@ class RelaySystemParams:
     rate_threshold_bits: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.duplex_factor <= 1.0:
-            raise ParameterError("RelaySystemParams.duplex_factor must lie in (0, 1]")
-        if not 0.0 <= self.rate_threshold_bits < math.inf:
-            raise ParameterError(
-                "RelaySystemParams.rate_threshold_bits must be finite and nonnegative"
-            )
+        check_fields(self, _DUPLEX, ("duplex_factor",))
+        check_fields(self, NONNEGATIVE, ("rate_threshold_bits",))
         try:
             threshold = rate_to_snr_threshold(self.rate_threshold_bits, self.duplex_factor)
         except OverflowError:
@@ -63,18 +60,15 @@ class RelaySystemParams:
 
 def rate_to_snr_threshold(rate_threshold: float, duplex_factor: float) -> float:
     """Per-hop SNR threshold 2**(rate/duplex_factor) - 1 for a rate target."""
-    if rate_threshold < 0.0:
-        raise ParameterError("rate_threshold must be nonnegative")
-    if not 0.0 < duplex_factor <= 1.0:
-        raise ParameterError("duplex_factor must lie in (0, 1]")
+    check_value("rate_threshold", rate_threshold, NONNEGATIVE)
+    check_value("duplex_factor", duplex_factor, _DUPLEX)
     return 2.0 ** (rate_threshold / duplex_factor) - 1.0
 
 
 def e2e_outage(p_plc: float, p_vlc: float) -> float:
     """Compose per-hop outage probabilities: p1 + (1 - p1) * p2."""
-    for name, value in (("p_plc", p_plc), ("p_vlc", p_vlc)):
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(f"{name} must be a probability in [0, 1]")
+    check_value("p_plc", p_plc, (0.0, 1.0, "must be a probability in [0, 1]"))
+    check_value("p_vlc", p_vlc, (0.0, 1.0, "must be a probability in [0, 1]"))
     return p_plc + (1.0 - p_plc) * p_vlc
 
 

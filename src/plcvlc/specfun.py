@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ParameterError
+from .errors import FINITE, ParameterError, check_value
 
 __all__ = ["gauss_legendre_panels", "softplus_mean", "hyp2f1"]
 
@@ -99,12 +99,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """
     if a != 1.0:
         raise ParameterError(f"hyp2f1 argument a must be 1, got {a!r}")
-    if not math.isfinite(b):
-        raise ParameterError(f"hyp2f1 argument b must be finite, got {b!r}")
+    check_value("hyp2f1 argument b", b, FINITE)
     if not (c == b + 1.0 and c > 0.0):
         raise ParameterError(f"hyp2f1 argument c must equal b + 1 > 0, got c={c!r} for b={b!r}")
-    if not -1.0 <= z <= 0.0:
-        raise ParameterError(f"hyp2f1 argument z must lie in [-1, 0], got {z!r}")
+    check_value("hyp2f1 argument z", z, (-1.0, 0.0, "must lie in [-1, 0]"))
     w = z / (z - 1.0)
     total = term = 1.0
     n = 0.0

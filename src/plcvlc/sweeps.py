@@ -11,14 +11,13 @@ fixed config and seed is byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import plc_link, relay, vlc_link
 from .config import echo_lines
-from .errors import ParameterError
+from .errors import ParameterError, is_integer, is_real
 # `estimate` is unused here, but perfbench/layers.py traces sweeps.estimate by name.
-from .montecarlo import Estimate, McConfig, _is_integer, estimate, estimate_many  # noqa: F401
+from .montecarlo import Estimate, McConfig, estimate, estimate_many  # noqa: F401
 from .relay import RelaySystemParams
 
 __all__ = [
@@ -71,14 +70,14 @@ class SweepSpec:
         named = [("start", self.start), ("stop", self.stop)]
         named += [(f"{self.family_variable} value", v) for v in self.family_values]
         for name, value in named:  # before any comparison: 'a' < 1.0 raises TypeError
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not is_real(value):
                 raise ParameterError(f"sweep of {self.variable!r}: {name} must be real, got {value!r}")
         if not self.start < self.stop:
             raise ParameterError(
                 f"sweep of {self.variable!r}: start {self.start!r} must be strictly below "
                 f"stop {self.stop!r}"
             )
-        if not _is_integer(self.steps):
+        if not is_integer(self.steps):
             raise ParameterError(f"sweep of {self.variable!r}: steps must be an integer")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ParameterError(f"sweep of {self.variable!r}: steps must be in [2, {MAX_STEPS}]")
@@ -154,26 +153,26 @@ FIGURE_PRESETS: dict[int, SweepSpec] = {
 def with_variable(system: RelaySystemParams, name: str, value: float) -> RelaySystemParams:
     """A copy of the system with one sweepable variable replaced.
 
-    Each changed parameter set is copied and re-validated by its ``__post_init__``;
+    The changed parameter set is copied and re-validated by its ``__post_init__``;
     a refusal is raised again, prefixed with the variable and its value.
     """
     if name not in SWEEPABLE_VARIABLES:
         raise ParameterError(f"unknown sweep variable {name!r}; {_EXPECTED_VARIABLES}")
     hop, field = SWEEPABLE_VARIABLES[name]
+    changed = _copied(system if hop is None else getattr(system, hop), field, value)
     try:
-        if hop is None:
-            return _replaced(system, field, value)
-        return _replaced(system, hop, _replaced(getattr(system, hop), field, value))
+        changed.__post_init__()
     except ParameterError as exc:
         raise ParameterError(f"sweep variable {name!r} = {value!r}: {exc}") from exc
+    # snr_threshold reads only the system's own fields, which a hop leaves as they are.
+    return changed if hop is None else _copied(system, hop, changed)
 
 
-def _replaced(params, field: str, value):
-    """``dataclasses.replace(params, field=value)``, with ``law`` set by ``__post_init__``."""
+def _copied(params, field: str, value):
+    """``params`` with one field replaced; ``law`` and ``snr_threshold`` are left as they were."""
     copy = object.__new__(type(params))
     copy.__dict__.update(params.__dict__)
     copy.__dict__[field] = value
-    copy.__post_init__()
     return copy
 
 

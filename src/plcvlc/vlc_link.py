@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FINITE, POSITIVE, ParameterError, check_fields, check_value
 from .specfun import hyp2f1, softplus_mean
 
 __all__ = [
@@ -74,18 +74,10 @@ class VlcLinkParams:
     semi_angle_rad: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "tx_power_w",
-            "noise_variance",
-            "detector_area",
-            "filter_gain",
-            "concentrator_gain",
-            "responsivity",
-            "cell_radius_m",
-            "height_m",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"VlcLinkParams.{name} must be strictly positive")
+        check_fields(self, POSITIVE, ("tx_power_w", "noise_variance", "detector_area",
+                                      "filter_gain", "concentrator_gain", "responsivity",
+                                      "cell_radius_m", "height_m"))
+        check_fields(self, FINITE, ("semi_angle_rad",))
         if not sys.float_info.min <= self.cell_radius_m * self.cell_radius_m < math.inf:
             # The gain law divides by the squared radius.
             raise ParameterError(
@@ -274,7 +266,6 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:
     """P(rho * h^2 < snr_threshold) = CDF of h^2 at snr_threshold/rho."""
-    if math.isnan(snr_threshold):
-        raise ParameterError("vlc_link.outage: snr_threshold must not be NaN")
+    check_value("vlc_link.outage: snr_threshold", snr_threshold, FINITE)
     return gain_sq_cdf(snr_threshold / p.law.rho, p)
 

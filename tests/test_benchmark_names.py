@@ -28,6 +28,11 @@ def perfbench(monkeypatch):
     return importlib.import_module("layers"), importlib.import_module("grid")
 
 
+@pytest.fixture
+def gate(perfbench):
+    return importlib.import_module("gate")
+
+
 def test_every_traced_attribute_resolves(perfbench):
     layers, _ = perfbench
     missing = [
@@ -38,12 +43,17 @@ def test_every_traced_attribute_resolves(perfbench):
     assert missing == []
 
 
-def test_grid_operation_runs_on_seed_one(perfbench):
+def test_grid_operation_runs_on_seed_one(perfbench, gate):
+    # Each result must also pass the benchmark's gate: mpmath references,
+    # closed form vs quadrature, outage composition and the capacity bound.
     _, grid = perfbench
-    results, seconds = grid.run_op(grid.make_points(1)[:5])
+    points = grid.make_points(1)[:5]
+    results, seconds = grid.run_op(points)
     assert len(results) == len(seconds) == 5
-    for row in results:
+    echo, refs = gate.parse_echo(grid.base_echo()), gate.References()
+    for point, row in zip(points, results):
         assert len(row) == 8 and all(math.isfinite(value) for value in row)
+        assert gate.check_grid_point(row, gate.grid_point_params(echo, point), refs) == []
 
 
 def test_import_probe_runs(perfbench, capsys):
