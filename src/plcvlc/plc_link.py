@@ -7,12 +7,9 @@ mean ``fading_mu_db`` and standard deviation ``fading_sigma_db`` (so the dB
 power gain is N(2*mu, (2*sigma)^2)).
 
 So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
-s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic,
-read by the mean and outage here, the sampler and the end-to-end integral,
-whose PLC factor is the survival P(ln(gamma) > y), ``_survival``.
-At zero spread it is a point mass at the sampler's SNR float(np.exp(m)).
-The mean capacity is E[softplus(m + s*Z)] / ln 2; ``avg_capacity`` takes it
-with one composite Gauss-Legendre rule in z against the normal density.
+s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic.
+``log_snr_law`` states it for ``specfun.softplus_mean`` (README, "Mean
+capacities"); at zero spread it is a point mass at the sampler's SNR.
 """
 
 from __future__ import annotations
@@ -24,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FINITE, NONNEGATIVE, POSITIVE, ParameterError, check_fields, check_value
-from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels
+from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, softplus_mean
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
 
-__all__ = ["PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "outage"]
+__all__ = [
+    "PlcLinkParams", "attenuation_coeff", "snr_scale", "avg_capacity", "log_snr_law", "outage"
+]
 
 # A dB amplitude gain x is the power gain 10**(x/5) = exp(x * _LN10_OVER_5).
 _LN10_OVER_5 = math.log(10.0) / 5.0
@@ -102,18 +101,14 @@ def snr_scale(p: PlcLinkParams) -> float:
 def avg_capacity(p: PlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + gamma)] in bits/s/Hz.
 
-    It is E[softplus(Y)] / ln 2 with ln(gamma) = Y = m + s*Z, (m, s) = ``p.law``.
-    At zero spread that is NumPy's log1p of the point mass over ln 2, the
-    sampled capacity bit for bit (m / ln 2 where exp(m) overflows, as in the
-    sampler).  Otherwise it is one composite Gauss-Legendre rule in z against
-    the normal density over ``_z_span``, cut at 0, at the kink z0 = -m/s and
-    at z0 + y/s for y in ``KINK_CUTS`` (README, "Power-line mean capacity",
-    for the reasons and its accuracy).  No duplexing factor is applied here.
+    It is E[softplus(Y)] / ln 2 with ln(gamma) = Y = m + s*Z, (m, s) = ``p.law``:
+    at zero spread ``softplus_mean``'s point-mass rule, the sampled capacity
+    bit for bit, else one Gauss-Legendre rule in z against the normal density
+    (README, "Power-line mean capacity").  No duplexing factor is applied here.
     """
     m, s = p.law
     if s == 0.0:
-        snr = _point_mass(m)
-        return (float(np.log1p(snr)) if snr < math.inf else m) / _LN2
+        return softplus_mean(log_snr_law(p)) / _LN2
     z, w = _z_rule(m, s)
     nepers = float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
     return nepers / _LN2
@@ -132,29 +127,36 @@ def _z_span(m: float, s: float) -> tuple[float, float]:
     return -_NORMAL_TAIL, max(0.0, min(s, -m / s)) + _NORMAL_TAIL
 
 
-def _survival(m: float, s: float, y: np.ndarray) -> np.ndarray:
-    """P(ln(gamma) > y) = erfc((y - m) / (s * sqrt 2)) / 2 at each y, for s > 0."""
-    return 0.5 * np.fromiter(map(math.erfc, ((y - m) / (s * _SQRT2)).tolist()), float, y.size)
+def log_snr_law(p: PlcLinkParams) -> tuple:
+    """The law of y = ln(gamma) for ``specfun.softplus_mean`` (README, "Mean capacities").
 
+    A spread below the least normal float is a point mass at the sampler's
+    SNR, NumPy's exp(m), not math's (they differ in the last bit for a few
+    percent), inf where it overflows.  Otherwise the survival is
+    erfc((y - m) / (s*sqrt 2)) / 2 over ``_z_span`` in z, cut at the median m.
+    """
+    m, s = p.law
+    if s < sys.float_info.min:
+        with np.errstate(over="ignore"):
+            return m, m, None, (), float(np.exp(m))
+    low, high = (m + s * z for z in _z_span(m, s))
 
-def _point_mass(centre: float) -> float:
-    """The sampler's SNR exp(centre) at zero spread, inf where that overflows.
+    def survival(y: np.ndarray) -> np.ndarray:
+        return 0.5 * np.fromiter(map(math.erfc, ((y - m) / (s * _SQRT2)).tolist()), float, y.size)
 
-    NumPy's exp, not math's: they differ in the last bit for a few percent."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(centre))
+    return low, high, survival, (m,), 0.0
 
 
 def outage(p: PlcLinkParams, snr_threshold: float) -> float:
     """P(gamma < snr_threshold) under ``p.law``, a normal ln(gamma).
 
-    With zero fading spread the SNR is the point mass ``_point_mass`` and the
-    result is a step there.
+    With zero fading spread the SNR is the point mass of ``log_snr_law``, its
+    floor, and the result is a step there.
     """
     check_value("plc_link.outage: snr_threshold", snr_threshold, FINITE)
     if snr_threshold <= 0.0:
         return 0.0
     centre, spread = p.law
     if spread == 0.0:
-        return 0.0 if _point_mass(centre) >= snr_threshold else 1.0
+        return 0.0 if log_snr_law(p)[4] >= snr_threshold else 1.0
     return 0.5 * math.erfc((centre - math.log(snr_threshold)) / spread / _SQRT2)

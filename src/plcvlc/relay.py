@@ -8,10 +8,7 @@ the threshold implied by the rate target.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import plc_link, specfun, vlc_link
 from .errors import NONNEGATIVE, ParameterError, check_fields, check_value
@@ -28,6 +25,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _DUPLEX = (5e-324, 1.0, "must lie in (0, 1]")
+_EXPONENT = (0.0, math.nextafter(1024.0, 0.0), "must be below 1024, or the threshold overflows")
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,12 @@ class RelaySystemParams:
         check_fields(self, NONNEGATIVE, ("rate_threshold_bits",))
         try:
             threshold = rate_to_snr_threshold(self.rate_threshold_bits, self.duplex_factor)
-        except OverflowError:
-            threshold = math.inf
-        if not math.isfinite(threshold):
+        except ParameterError:  # the fields are in range, so the threshold overflows
             raise ParameterError(
                 f"RelaySystemParams.rate_threshold_bits / RelaySystemParams.duplex_factor = "
                 f"{self.rate_threshold_bits!r} / {self.duplex_factor!r} overflows the SNR "
                 f"threshold 2**(rate_threshold_bits / duplex_factor) - 1"
-            )
+            ) from None
         object.__setattr__(self, "snr_threshold", threshold)
 
 
@@ -62,7 +58,9 @@ def rate_to_snr_threshold(rate_threshold: float, duplex_factor: float) -> float:
     """Per-hop SNR threshold 2**(rate/duplex_factor) - 1 for a rate target."""
     check_value("rate_threshold", rate_threshold, NONNEGATIVE)
     check_value("duplex_factor", duplex_factor, _DUPLEX)
-    return 2.0 ** (rate_threshold / duplex_factor) - 1.0
+    exponent = rate_threshold / duplex_factor
+    check_value("rate_threshold / duplex_factor", exponent, _EXPONENT)
+    return 2.0 ** exponent - 1.0
 
 
 def e2e_outage(p_plc: float, p_vlc: float) -> float:
@@ -81,29 +79,8 @@ def e2e_outage_analytic(s: RelaySystemParams) -> float:
 def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     """Mean end-to-end capacity E[duplex_factor * min(C_plc, C_vlc)].
 
-    The analytic counterpart of the sampled estimate: min(snr_plc, snr_vlc)
-    survives y in log-SNR with probability S_plc(y) * S_vlc(y), whose
-    ``specfun.softplus_mean`` is cut at the PLC median m, the cell edge and
-    the ends of the PLC mean's rule (README, "Mean capacities").  A zero or
-    subnormal spread makes S_plc a step at the point mass exp(m); where one
-    SNR is left, the result is its capacity in the sampler's bits.
+    The analytic counterpart of the sampled estimate: ``specfun.softplus_mean``
+    of the two hops' log-SNR laws (README, "Mean capacities").
     """
-    m, spread = s.plc.law
-    y_edge, y_top, vlc_survival = vlc_link._log_snr_law(s.vlc.law)
-    if spread < sys.float_info.min:
-        snr, t_min, t_max, rho = plc_link._point_mass(m), *s.vlc.law[4:]
-        if vlc_survival is None or snr <= rho * t_min:
-            return s.duplex_factor * float(np.log1p(min(snr, rho * t_max))) / _LN2
-        nepers = specfun.softplus_mean(vlc_survival, y_edge, min(y_top, m))
-    else:
-        plc_low, plc_high = (m + spread * z for z in plc_link._z_span(m, spread))
-
-        def survival(y: np.ndarray) -> np.ndarray:
-            keep = plc_link._survival(m, spread, y)
-            # Below the cell edge the VLC hop survives: its survival is 1 there.
-            return keep if vlc_survival is None else keep * np.minimum(vlc_survival(y), 1.0)
-
-        nepers = specfun.softplus_mean(
-            survival, min(y_edge, plc_low), min(y_top, plc_high), (m, y_edge, plc_low, plc_high)
-        )
-    return s.duplex_factor * nepers / _LN2
+    laws = plc_link.log_snr_law(s.plc), vlc_link.log_snr_law(s.vlc)
+    return s.duplex_factor * specfun.softplus_mean(*laws) / _LN2

@@ -13,7 +13,7 @@ so they are safe to call from any number of threads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -65,21 +65,36 @@ def gauss_legendre_panels(
     return half * xs + centre.repeat(order), half * ws
 
 
-def softplus_mean(survival, low: float, high: float, cuts=()) -> float:
-    """E[softplus(Y)] = softplus(low) + the integral of S(y) * expit(y) over [low, high].
+def softplus_mean(*laws: tuple) -> float:
+    """E[softplus(min Y)] over independent hops' log-SNRs Y, E[log(1 + min snr)] in nepers.
 
-    ``survival`` is S(y) = P(Y > y), vectorised, for Y within [low, high];
-    for Y = ln(snr) this is E[log(1 + snr)] in nepers.  One rule of
-    ``PANEL_ORDER`` nodes a panel, cut at ``KINK_CUTS``, at ``cuts`` and, where
-    expit(y) is about e^y, every 8 nepers for 48 nepers below min(high, -4)
-    (README, "Mean capacities").  S and expit are taken with overflow ignored
-    (expit is 0 below y = -709).
+    Each law is a hop's ``log_snr_law``, (low, high, survival, cuts, floor):
+    the support of Y, its survival S(y) = P(Y > y) there, vectorised (None at
+    a point mass), the hop's own cuts and the least SNR the sampler draws
+    (the point's SNR at a point mass).  Where a point mass lies at or below
+    every floor the mean is NumPy's log1p of its SNR, the sampler's bits, or
+    its y where the SNR overflows.  Otherwise it is softplus(low) + the
+    integral of prod S(y) * expit(y) over [low, high], the least ends: one
+    rule of ``PANEL_ORDER`` nodes a panel, cut at ``KINK_CUTS``, at each low
+    and hop cut and, where expit(y) is about e^y, every 8 nepers for 48
+    nepers below min(high, -4) (README, "Mean capacities").  A survival whose
+    support starts above low is clipped to 1; survivals and expit are taken
+    with overflow ignored (expit is 0 below y = -709).
     """
+    lows, highs, survivals, cuts, floors = zip(*laws)
+    if None in survivals:
+        least = min(floors)
+        for high, survival, floor in zip(highs, survivals, floors):
+            if survival is None and floor <= least:
+                return float(np.log1p(floor)) if floor < math.inf else high
+    low, high = min(lows), min(highs)
     top = min(high, KINK_CUTS[1])
     tail = (top - 8.0 * k for k in range(1, 7))
-    y, w = gauss_legendre_panels(low, high, PANEL_ORDER, (*KINK_CUTS, *cuts, *tail))
+    y, w = gauss_legendre_panels(low, high, PANEL_ORDER, (*KINK_CUTS, *lows, *sum(cuts, ()), *tail))
     with np.errstate(over="ignore"):
-        integrand = survival(y) / (1.0 + np.exp(-y))
+        factors = [f(y) if start <= low else np.minimum(f(y), 1.0)
+                   for start, f in zip(lows, survivals) if f is not None]
+        integrand = reduce(np.multiply, factors) / (1.0 + np.exp(-y))
     return max(low, 0.0) + math.log1p(math.exp(-abs(low))) + float(w @ integrand)
 
 

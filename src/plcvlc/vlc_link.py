@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, ParameterError, check_fields, check_value
+from .errors import FINITE, POSITIVE, REAL, ParameterError, check_fields, check_value
 from .specfun import hyp2f1, softplus_mean
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "gain_sq",
     "gain_sq_cdf",
     "avg_capacity_quad",
+    "log_snr_law",
     "avg_capacity_closed",
     "outage",
 ]
@@ -168,13 +169,18 @@ def gain_sq(v: np.ndarray, law: VlcLaw, out: np.ndarray) -> np.ndarray:
 
 
 def gain_sq_cdf(x, p: VlcLinkParams):
-    """CDF of the squared channel gain: clamped power law on [t_min, t_max]."""
+    """CDF of the squared channel gain: clamped power law on [t_min, t_max].
+
+    A scalar x must be a real number, not NaN; an array is taken as floats.
+    """
     m, c_const, r_sq, height_sq, t_min, t_max, _ = p.law
     offset = 1.0 + height_sq / r_sq
     expo = -1.0 / (m + 3.0)
     # isinstance first: np.ndim of a float costs more than the scalar path.
     if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
+        if type(x) is not float or x != x:
+            check_value("vlc_link.gain_sq_cdf: x", x, REAL)
+            x = float(x)
         if x <= t_min:
             return 0.0
         if x >= t_max:
@@ -192,35 +198,31 @@ def gain_sq_cdf(x, p: VlcLinkParams):
 def avg_capacity_quad(p: VlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + rho * h^2)] by composite Gauss-Legendre.
 
-    ``specfun.softplus_mean`` of the log-SNR survival (README, "Mean capacities"),
-    rho = P_r / sigma_d^2; on a point-mass support (a vanishing cell) NumPy's
-    log1p(rho*t_max) / ln 2, the sampler's bits.  No duplexing factor is applied.
+    ``specfun.softplus_mean`` of ``log_snr_law`` (README, "Mean capacities"),
+    rho = P_r / sigma_d^2.  No duplexing factor is applied.
     """
-    low, high, survival = _log_snr_law(p.law)
-    if survival is None:
-        return float(np.log1p(p.law.rho * p.law.t_max)) / _LN2
-    return softplus_mean(survival, low, high) / _LN2
+    return softplus_mean(log_snr_law(p)) / _LN2
 
 
-def _log_snr_law(law: VlcLaw):
-    """The support [low, high] of y = ln(rho*t) and P(ln(rho*t) > y) there, None at one point.
+def log_snr_law(p: VlcLinkParams) -> tuple:
+    """The law of y = ln(rho*t) for ``specfun.softplus_mean`` (README, "Mean capacities").
 
-    u = (e^y / rho)**(-1/(m+3)) is uniform over the cell, so the survival is
-    (u - u_low) / (u_high - u_low) = expm1(beta*(high - y)) / expm1(beta*(high
-    - low)) with beta = 1/(m+3), with no difference of nearly equal u to cancel.
+    A support [ln(rho*t_min), ln(rho*t_max)] of one point (a vanishing cell)
+    is a point mass at rho*t_max.  Otherwise the survival is the expm1 ratio
+    expm1(beta*(high - y)) / expm1(beta*(high - low)), beta = 1/(m+3).
     """
-    m, _, _, _, t_min, t_max, rho = law
+    m, _, _, _, t_min, t_max, rho = p.law
     log_rho = math.log(rho)
     low, high = log_rho + math.log(t_min), log_rho + math.log(t_max)
     if not low < high:
-        return low, high, None
+        return low, high, None, (), rho * t_max
     beta = 1.0 / (m + 3.0)
     scale = 1.0 / math.expm1(beta * (high - low))
 
     def survival(y: np.ndarray) -> np.ndarray:
         return np.expm1(beta * (high - y)) * scale
 
-    return low, high, survival
+    return low, high, survival, (), rho * t_min
 
 
 def avg_capacity_closed(p: VlcLinkParams) -> float:

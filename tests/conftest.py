@@ -1,12 +1,28 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from plcvlc import load_config, plc_link, specfun
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
 def default_system():
     system, _ = load_config(None)
     return system
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark harness's ``layers`` and ``grid`` modules; perfbench/ is read, never edited."""
+    # The harness modules import their siblings (spans, calibrate) by name.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # Leave no bytecode cache in perfbench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("layers"), importlib.import_module("grid")
 
 
 def _record_sizes(monkeypatch, module, name):

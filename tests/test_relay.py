@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcvlc import montecarlo, specfun, vlc_link
+from plcvlc import montecarlo, plc_link, specfun, vlc_link
 from plcvlc.config import load_config
 from plcvlc.sweeps import evaluate_point, with_variable
 from plcvlc.errors import ParameterError
@@ -455,3 +455,82 @@ def test_means_finite_without_warnings_over_widened_grid_ranges(default_system):
             means = (vlc_link.avg_capacity_quad(s.vlc), vlc_link.avg_capacity_closed(s.vlc),
                      e2e_avg_capacity_numeric(s))
             assert all(0.0 < value < math.inf for value in means)
+
+
+# ---------------------------------------------------------------------------
+# One composition of the hops' log-SNR laws
+# ---------------------------------------------------------------------------
+
+def _point_mass_mixes(default_system):
+    """Every pairing of a PLC hop (spread, or a point mass below, inside, above
+    or beyond the float range of the cell, or at a subnormal spread) with a
+    cell (default, dim, one point)."""
+    plcs = [default_system.plc] + [
+        dataclasses.replace(default_system.plc, fading_sigma_db=sigma_db, fading_mu_db=mu_db)
+        for sigma_db, mu_db in ((0.0, 0.0), (1e-320, 0.0), (0.0, -20.0), (0.0, 20.0),
+                                (0.0, 2000.0), (1e-320, -20.0))
+    ]
+    vlcs = [
+        default_system.vlc,
+        _vlc_6_49_degrees(default_system),
+        dataclasses.replace(default_system.vlc, cell_radius_m=1e-9),
+    ]
+    return [(plc, vlc) for plc in plcs for vlc in vlcs]
+
+
+def _vlc_6_49_degrees(default_system):
+    """The dim cell of ``test_vlc_link.test_quadrature_is_cut_below_a_dim_top``."""
+    return dataclasses.replace(default_system.vlc, semi_angle_rad=math.radians(6.49),
+                               cell_radius_m=4.79, height_m=2.63, tx_power_w=3.46e-8)
+
+
+def test_composition_is_symmetric_bit_for_bit(default_system, perfbench):
+    _, grid = perfbench
+    systems = [grid.build_system(default_system, point) for point in grid.make_points(1)]
+    for plc, vlc in _point_mass_mixes(default_system) + [(s.plc, s.vlc) for s in systems]:
+        plc_law, vlc_law = plc_link.log_snr_law(plc), vlc_link.log_snr_law(vlc)
+        forward = specfun.softplus_mean(plc_law, vlc_law)
+        assert 0.0 < forward < math.inf
+        assert specfun.softplus_mean(vlc_law, plc_law).hex() == forward.hex()
+
+
+@pytest.mark.parametrize("case", ["plc-point-below-the-cell", "both-points"])
+def test_numeric_mean_capacity_is_the_sampled_bits_on_a_point_mass_path(default_system, case):
+    # The path min(snr_plc, snr_vlc) takes one value: the sampled mean is that
+    # value's capacity, and at the default duplex factor 1/2 (an exact scaling)
+    # the analytic mean has the same bits.
+    if case == "both-points":
+        plc = dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
+        vlc = dataclasses.replace(default_system.vlc, cell_radius_m=1e-9)
+    else:
+        plc = dataclasses.replace(default_system.plc, fading_sigma_db=0.0, fading_mu_db=-20.0)
+        vlc = default_system.vlc
+        assert montecarlo.sample_plc_snr(plc, 0.0) < montecarlo.sample_vlc_snr(vlc, 1.0)
+    s = dataclasses.replace(default_system, plc=plc, vlc=vlc)
+    assert s.duplex_factor == 0.5
+    sampled = montecarlo.estimate("e2e_avg_capacity", s, montecarlo.McConfig(trials=5000, seed=3))
+    assert sampled.std_error == 0.0
+    assert e2e_avg_capacity_numeric(s) == sampled.mean
+
+
+@pytest.mark.parametrize("hop", ["plc", "vlc", "vlc-6.49-degrees"])
+def test_log_snr_survival_matches_the_sampled_share_above(default_system, hop):
+    # At the deciles of one sample of y = ln(snr), the law's survival meets the
+    # share of an independent sample above them within 3 binomial SE.
+    n = 200_000
+    draws = np.random.default_rng(29)
+    if hop == "plc":
+        law = plc_link.log_snr_law(default_system.plc)
+        samples = [np.log(montecarlo.sample_plc_snr(default_system.plc, draws.standard_normal(n)))
+                   for _ in range(2)]
+    else:
+        vlc = default_system.vlc if hop == "vlc" else _vlc_6_49_degrees(default_system)
+        law = vlc_link.log_snr_law(vlc)
+        samples = [np.log(montecarlo.sample_vlc_snr(vlc, draws.random(n))) for _ in range(2)]
+    low, high, survival = law[:3]
+    y = np.quantile(samples[0], np.linspace(0.1, 0.9, 9))
+    assert low < y.min() and y.max() < high
+    expected = survival(y)
+    share = (samples[1][:, None] > y).mean(axis=0)
+    se = np.sqrt(expected * (1.0 - expected) / n)
+    assert np.all(np.abs(share - expected) <= 3.0 * se), (share, expected)
