@@ -12,7 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import plc_link, vlc_link
 from .config import echo_lines, load_config
 from .errors import ConfigError, ParameterError
 # `estimate` is unused here, but perfbench/layers.py traces cli.estimate by name.
@@ -88,29 +87,27 @@ def _write_output(text: str, out: str | None) -> None:
         raise ParameterError(f"--out {out!r} cannot be written: {exc.strerror or exc}") from exc
 
 
+# The eval report's lines in order, each a value of evaluate_point or of an estimate.
+_EVAL_LINES = (
+    "plc_attenuation_per_m", "plc_snr_scale", "snr_threshold", "plc_capacity",
+    "vlc_capacity_closed", "vlc_capacity_quad", "e2e_capacity_bound", "e2e_capacity_mc",
+    "e2e_capacity_mc_se", "plc_outage", "vlc_outage", "e2e_outage", "e2e_outage_mc",
+    "e2e_outage_mc_se",
+)
+
+
 def _run_eval(system, mc, workers: int) -> str:
     point = evaluate_point(system)
-    mc_cap, mc_out = estimate_many(
+    capacity, outage = estimate_many(
         [("e2e_avg_capacity", system), ("e2e_outage", system)], mc, workers
     )
-    report = [
-        ("plc_attenuation_per_m", plc_link.attenuation_coeff(system.plc)),
-        ("plc_snr_scale", plc_link.snr_scale(system.plc)),
-        ("snr_threshold", system.snr_threshold),
-        ("plc_capacity", point["plc_capacity"]),
-        ("vlc_capacity_closed", point["vlc_capacity"]),
-        ("vlc_capacity_quad", vlc_link.avg_capacity_quad(system.vlc)),
-        ("e2e_capacity_bound", point["e2e_capacity_bound"]),
-        ("e2e_capacity_mc", mc_cap.mean),
-        ("e2e_capacity_mc_se", mc_cap.std_error),
-        ("plc_outage", point["plc_outage"]),
-        ("vlc_outage", point["vlc_outage"]),
-        ("e2e_outage", point["e2e_outage"]),
-        ("e2e_outage_mc", mc_out.mean),
-        ("e2e_outage_mc_se", mc_out.std_error),
-    ]
+    values = {
+        **point, "vlc_capacity_closed": point["vlc_capacity"],
+        "e2e_capacity_mc": capacity.mean, "e2e_capacity_mc_se": capacity.std_error,
+        "e2e_outage_mc": outage.mean, "e2e_outage_mc_se": outage.std_error,
+    }
     lines = ["# plcvlc eval report", *echo_lines(system, mc)]
-    lines += [f"{name} = {value!r}" for name, value in report]
+    lines += [f"{name} = {values[name]!r}" for name in _EVAL_LINES]
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ power gain is N(2*mu, (2*sigma)^2)).
 So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
 s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic.
 ``log_snr_law`` states it for ``specfun.softplus_mean`` (README, "Mean
-capacities"); at zero spread it is a point mass at the sampler's SNR.
+capacities"); below the least normal spread it is a point mass at the sampler's SNR.
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ def avg_capacity(p: PlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + gamma)] in bits/s/Hz.
 
     It is E[softplus(Y)] / ln 2 with ln(gamma) = Y = m + s*Z, (m, s) = ``p.law``:
-    at zero spread ``softplus_mean``'s point-mass rule, the sampled capacity
-    bit for bit, else one Gauss-Legendre rule in z against the normal density
-    (README, "Power-line mean capacity").  No duplexing factor is applied here.
+    at the point mass of ``log_snr_law`` the sampled capacity bit for bit,
+    else one Gauss-Legendre rule in z against the normal density (README,
+    "Power-line mean capacity").  No duplexing factor is applied here.
     """
+    law = log_snr_law(p)
+    if law[2] is None:
+        return softplus_mean(law) / _LN2
     m, s = p.law
-    if s == 0.0:
-        return softplus_mean(log_snr_law(p)) / _LN2
     z, w = _z_rule(m, s)
     nepers = float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
     return nepers / _LN2
@@ -150,13 +151,14 @@ def log_snr_law(p: PlcLinkParams) -> tuple:
 def outage(p: PlcLinkParams, snr_threshold: float) -> float:
     """P(gamma < snr_threshold) under ``p.law``, a normal ln(gamma).
 
-    With zero fading spread the SNR is the point mass of ``log_snr_law``, its
-    floor, and the result is a step there.
+    At the point mass of ``log_snr_law`` the SNR is its floor, and the result
+    is a step there.
     """
     check_value("plc_link.outage: snr_threshold", snr_threshold, FINITE)
     if snr_threshold <= 0.0:
         return 0.0
+    _, _, survival, _, floor = log_snr_law(p)
+    if survival is None:
+        return 0.0 if floor >= snr_threshold else 1.0
     centre, spread = p.law
-    if spread == 0.0:
-        return 0.0 if log_snr_law(p)[4] >= snr_threshold else 1.0
     return 0.5 * math.erfc((centre - math.log(snr_threshold)) / spread / _SQRT2)

@@ -1,7 +1,8 @@
 """Parameter sweeps, figure presets, validation runs and their CSV output.
 
-``evaluate_point`` computes every analytic value of an operating point; sweeps,
-validation runs and the ``eval`` command take their analytic numbers from it.
+``evaluate_point`` computes every analytic value any command reports for an
+operating point; the ``eval`` lines, validation rows and sweep rows are views of
+it beside the Monte Carlo estimates, and ``_agrees`` is their one 3-SE rule.
 
 CSV files start with a comment block that echoes the full effective parameter
 set; every number is written in shortest round-trip form, so a sweep with a
@@ -51,6 +52,12 @@ _EXPECTED_VARIABLES = f"expected one of {sorted(SWEEPABLE_VARIABLES)}"
 
 # The sampled columns of a sweep record: capacity, then outage.
 _SWEEP_METRICS = ("e2e_avg_capacity", "e2e_outage")
+# Each sampled metric of a validation run -> the evaluate_point value checked against it.
+_VALIDATED = {
+    "plc_avg_capacity": "plc_capacity", "vlc_avg_capacity": "vlc_capacity",
+    "e2e_avg_capacity": "e2e_capacity_numeric",
+    "plc_outage": "plc_outage", "vlc_outage": "vlc_outage", "e2e_outage": "e2e_outage",
+}
 
 
 @dataclass(frozen=True)
@@ -103,39 +110,35 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of a sweep: analytic values, sampled values, flags."""
+    """One grid point of a sweep: ``evaluate_point``'s values, two estimates, two flags."""
 
     swept_value: float
     family_value: float | None
-    plc_capacity: float
-    vlc_capacity: float
-    e2e_capacity_bound: float
-    plc_outage: float
-    vlc_outage: float
-    e2e_outage: float
+    analytic: dict[str, float]
     mc_e2e_capacity: Estimate
     mc_e2e_outage: Estimate
 
     @property
     def outage_agrees(self) -> bool:
-        return _outage_agrees(self.e2e_outage, self.mc_e2e_outage)
+        return _agrees("e2e_outage", self.analytic["e2e_outage"], self.mc_e2e_outage)
 
     @property
     def capacity_within_bound(self) -> bool:
-        return (
-            self.mc_e2e_capacity.mean
-            <= self.e2e_capacity_bound + 3.0 * self.mc_e2e_capacity.std_error
-        )
+        """mean <= bound + 3 SE: one-sided, as the bound lies above the mean."""
+        sampled = self.mc_e2e_capacity
+        return sampled.mean <= self.analytic["e2e_capacity_bound"] + 3.0 * sampled.std_error
 
 
-def _outage_agrees(probability: float, sampled: Estimate) -> bool:
-    """|p - mean| <= 3 SE, the SE at least the binomial one at the analytic p.
+def _agrees(metric: str, value: float, sampled: Estimate) -> bool:
+    """|value - mean| <= 3 SE, an outage's SE at least the binomial one at ``value``.
 
-    A sample whose trials all agree reports SE 0, which no p strictly
+    A sample whose trials all agree reports SE 0, which no outage strictly
     between 0 and 1 would otherwise meet.
     """
-    binomial = math.sqrt(max(probability * (1.0 - probability), 0.0) / sampled.trials)
-    return abs(probability - sampled.mean) <= 3.0 * max(sampled.std_error, binomial)
+    se = sampled.std_error
+    if metric.endswith("outage"):
+        se = max(se, math.sqrt(max(value * (1.0 - value), 0.0) / sampled.trials))
+    return abs(value - sampled.mean) <= 3.0 * se
 
 
 FIGURE_PRESETS: dict[int, SweepSpec] = {
@@ -177,15 +180,24 @@ def _copied(params, field: str, value):
 
 
 def evaluate_point(system: RelaySystemParams) -> dict[str, float]:
-    """Every analytic value of one operating point, keyed by its ``SweepRecord`` field."""
+    """Every analytic value any command reports for one operating point, by name.
+
+    ``vlc_capacity`` is the closed form; ``e2e_capacity_bound``, duplex_factor
+    * min of the hop means, lies above the exact ``e2e_capacity_numeric``.
+    """
     plc_capacity = plc_link.avg_capacity(system.plc)
     vlc_capacity = vlc_link.avg_capacity_closed(system.vlc)
     plc_outage = plc_link.outage(system.plc, system.snr_threshold)
     vlc_outage = vlc_link.outage(system.vlc, system.snr_threshold)
     return {
+        "plc_attenuation_per_m": plc_link.attenuation_coeff(system.plc),
+        "plc_snr_scale": plc_link.snr_scale(system.plc),
+        "snr_threshold": system.snr_threshold,
         "plc_capacity": plc_capacity,
         "vlc_capacity": vlc_capacity,
+        "vlc_capacity_quad": vlc_link.avg_capacity_quad(system.vlc),
         "e2e_capacity_bound": system.duplex_factor * min(plc_capacity, vlc_capacity),
+        "e2e_capacity_numeric": relay.e2e_avg_capacity_numeric(system),
         "plc_outage": plc_outage,
         "vlc_outage": vlc_outage,
         "e2e_outage": relay.e2e_outage(plc_outage, vlc_outage),
@@ -214,13 +226,7 @@ def run_sweep(
         [(metric, point) for _, _, point in points for metric in _SWEEP_METRICS], mc, workers
     )
     return tuple(
-        SweepRecord(
-            swept_value=swept_value,
-            family_value=family_value,
-            **evaluate_point(point),
-            mc_e2e_capacity=capacity,
-            mc_e2e_outage=outage,
-        )
+        SweepRecord(swept_value, family_value, evaluate_point(point), capacity, outage)
         for (swept_value, family_value, point), capacity, outage in zip(
             points, sampled[0::2], sampled[1::2]
         )
@@ -233,12 +239,11 @@ _CSV_COLUMNS = (
     ("swept_value", lambda spec, r: repr(r.swept_value)),
     ("family_variable", lambda spec, r: spec.family_variable or ""),
     ("family_value", lambda spec, r: "" if r.family_value is None else repr(r.family_value)),
-    ("plc_capacity_analytic", lambda spec, r: repr(r.plc_capacity)),
-    ("vlc_capacity_analytic", lambda spec, r: repr(r.vlc_capacity)),
-    ("e2e_capacity_bound", lambda spec, r: repr(r.e2e_capacity_bound)),
-    ("plc_outage_analytic", lambda spec, r: repr(r.plc_outage)),
-    ("vlc_outage_analytic", lambda spec, r: repr(r.vlc_outage)),
-    ("e2e_outage_analytic", lambda spec, r: repr(r.e2e_outage)),
+    *((column, lambda spec, r, key=key: repr(r.analytic[key])) for column, key in (
+        ("plc_capacity_analytic", "plc_capacity"), ("vlc_capacity_analytic", "vlc_capacity"),
+        ("e2e_capacity_bound", "e2e_capacity_bound"), ("plc_outage_analytic", "plc_outage"),
+        ("vlc_outage_analytic", "vlc_outage"), ("e2e_outage_analytic", "e2e_outage"),
+    )),
     ("e2e_capacity_mc", lambda spec, r: repr(r.mc_e2e_capacity.mean)),
     ("e2e_capacity_mc_se", lambda spec, r: repr(r.mc_e2e_capacity.std_error)),
     ("e2e_outage_mc", lambda spec, r: repr(r.mc_e2e_outage.mean)),
@@ -287,45 +292,19 @@ def run_validation(
 ) -> list[ValidationRow]:
     """Compare all six metrics against Monte Carlo, plus closed form vs quadrature.
 
-    A metric row agrees when |analytic - sampled| <= 3 standard errors, an
-    outage's at least the binomial one at the analytic probability; the
-    closed-form row agrees when it matches the Gauss-Legendre quadrature to
-    ``CLOSED_VS_QUAD_RTOL`` relative.
+    A metric row checks the ``_VALIDATED`` value of ``evaluate_point`` by
+    ``_agrees``; the closed-form row agrees when it matches the Gauss-Legendre
+    quadrature to ``CLOSED_VS_QUAD_RTOL`` relative.
     """
     point = evaluate_point(system)
-    analytic = {
-        "plc_avg_capacity": point["plc_capacity"],
-        "vlc_avg_capacity": point["vlc_capacity"],
-        "e2e_avg_capacity": relay.e2e_avg_capacity_numeric(system),
-        "plc_outage": point["plc_outage"],
-        "vlc_outage": point["vlc_outage"],
-        "e2e_outage": point["e2e_outage"],
-    }
-    sampled = estimate_many([(metric, system) for metric in analytic], mc, workers)
+    sampled = estimate_many([(metric, system) for metric in _VALIDATED], mc, workers)
     rows = [
-        ValidationRow(
-            name=metric,
-            analytic=value,
-            reference=est.mean,
-            std_error=est.std_error,
-            agrees=(
-                _outage_agrees(value, est) if metric.endswith("outage")
-                else abs(value - est.mean) <= 3.0 * est.std_error
-            ),
-        )
-        for (metric, value), est in zip(analytic.items(), sampled)
+        ValidationRow(metric, point[key], est.mean, est.std_error, _agrees(metric, point[key], est))
+        for (metric, key), est in zip(_VALIDATED.items(), sampled)
     ]
-    closed, quad = point["vlc_capacity"], vlc_link.avg_capacity_quad(system.vlc)
-    rows.append(
-        ValidationRow(
-            name="vlc_capacity_closed_vs_quad",
-            analytic=closed,
-            reference=quad,
-            std_error=0.0,
-            agrees=math.isclose(closed, quad, rel_tol=CLOSED_VS_QUAD_RTOL, abs_tol=1e-300),
-        )
-    )
-    return rows
+    closed, quad = point["vlc_capacity"], point["vlc_capacity_quad"]
+    agrees = math.isclose(closed, quad, rel_tol=CLOSED_VS_QUAD_RTOL, abs_tol=1e-300)
+    return [*rows, ValidationRow("vlc_capacity_closed_vs_quad", closed, quad, 0.0, agrees)]
 
 
 def validation_lines(rows: list[ValidationRow]) -> list[str]:

@@ -169,14 +169,14 @@ def test_figure_trends(system, number):
     for family_value, records in _by_family(sweep).items():
         records.sort(key=lambda r: r.swept_value)
         if number in (2, 3):
-            caps = [r.vlc_capacity for r in records]
+            caps = [r.analytic["vlc_capacity"] for r in records]
             if not all(b > a for a, b in zip(caps, caps[1:])):
                 problems.append(f"capacity not increasing in relay power at {family_value}")
-            bounds = [r.e2e_capacity_bound for r in records]
+            bounds = [r.analytic["e2e_capacity_bound"] for r in records]
             if not all(b >= a for a, b in zip(bounds, bounds[1:])):
                 problems.append(f"capacity bound decreasing at {family_value}")
         else:
-            outs = [r.e2e_outage for r in records]
+            outs = [r.analytic["e2e_outage"] for r in records]
             if not all(b > a for a, b in zip(outs, outs[1:])):
                 problems.append(f"outage not increasing in rate threshold at {family_value}")
 
@@ -184,20 +184,20 @@ def test_figure_trends(system, number):
         records.sort(key=lambda r: r.family_value)
         if number in (2, 3):
             # Larger LED height (fig 2) or cell radius (fig 3) lowers capacity.
-            caps = [r.vlc_capacity for r in records]
+            caps = [r.analytic["vlc_capacity"] for r in records]
             if not all(b < a for a, b in zip(caps, caps[1:])):
                 problems.append(f"family ordering broken at swept value {swept_value}")
-            bounds = [r.e2e_capacity_bound for r in records]
+            bounds = [r.analytic["e2e_capacity_bound"] for r in records]
             if not all(b <= a for a, b in zip(bounds, bounds[1:])):
                 problems.append(f"bound family ordering broken at {swept_value}")
         elif number == 4:
             # Larger LED height raises outage.
-            outs = [r.e2e_outage for r in records]
+            outs = [r.analytic["e2e_outage"] for r in records]
             if not all(b > a for a, b in zip(outs, outs[1:])):
                 problems.append(f"outage not increasing in height at {swept_value}")
         else:
             # Larger relay power lowers outage.
-            outs = [r.e2e_outage for r in records]
+            outs = [r.analytic["e2e_outage"] for r in records]
             if not all(b < a for a, b in zip(outs, outs[1:])):
                 problems.append(f"outage not decreasing in relay power at {swept_value}")
 

@@ -358,6 +358,21 @@ def test_analytic_layer_reads_the_sampled_law():
         assert sample_plc_snr(p, 0.0) == float(np.exp(p.law[0]))
 
 
+
+@pytest.mark.parametrize("sigma_db", [5e-324, 1e-320, 2e-308])
+def test_subnormal_spread_is_the_sampled_point_mass(sigma_db):
+    # A spread below the least normal float samples one SNR, NumPy's exp(m),
+    # 10.000000000000002 on the default hop: its mean and outage are the
+    # sampled ones, as at zero spread (1e-320 gave 0.5 at a threshold of 10).
+    system, _ = load_config(None, {"fading_sigma_db": sigma_db})
+    p = system.plc
+    snr = sample_plc_snr(p, np.linspace(-8.0, 8.0, 17))
+    assert np.all(snr == float(np.exp(p.law[0])))
+    for threshold in (3.0, 10.0, float(snr[0]), math.nextafter(float(snr[0]), math.inf)):
+        assert outage(p, threshold) == float(np.mean(snr < threshold)), threshold
+    sampled = estimate_many([("plc_avg_capacity", system)], McConfig(trials=MIN_TRIALS, seed=1))
+    assert avg_capacity(p) == sampled[0].mean
+
 def _seeded_hops_and_offsets(count=300):
     """(hop, x) pairs: hops over 0.1-100 dB spreads and 5-500 m cables, |x| <= 8."""
     rng = random.Random(1)
