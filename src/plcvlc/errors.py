@@ -7,7 +7,6 @@ from numbers import Integral, Real
 POSITIVE = (5e-324, float("inf"), "must be strictly positive")
 NONNEGATIVE = (0.0, sys.float_info.max, "must be finite and nonnegative")
 FINITE = (-sys.float_info.max, sys.float_info.max, "must be finite")
-REAL = (-float("inf"), float("inf"), "must be a real number")
 
 
 class PlcVlcError(Exception):

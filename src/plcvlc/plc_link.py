@@ -8,7 +8,7 @@ power gain is N(2*mu, (2*sigma)^2)).
 
 So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
 s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic.
-``log_snr_law`` states it for ``specfun.softplus_mean`` (README, "Mean
+``log_snr_law`` states it for ``specfun``'s mean and outage (README, "Mean
 capacities"); below the least normal spread it is a point mass at the sampler's SNR.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FINITE, NONNEGATIVE, POSITIVE, ParameterError, check_fields, check_value
-from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, softplus_mean
+from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, snr_cdf, softplus_mean
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
 
@@ -129,36 +129,30 @@ def _z_span(m: float, s: float) -> tuple[float, float]:
 
 
 def log_snr_law(p: PlcLinkParams) -> tuple:
-    """The law of y = ln(gamma) for ``specfun.softplus_mean`` (README, "Mean capacities").
+    """The law of y = ln(gamma) for ``specfun``'s mean and outage (README, "Mean capacities").
 
     A spread below the least normal float is a point mass at the sampler's
     SNR, NumPy's exp(m), not math's (they differ in the last bit for a few
     percent), inf where it overflows.  Otherwise the survival is
-    erfc((y - m) / (s*sqrt 2)) / 2 over ``_z_span`` in z, cut at the median m.
+    erfc((y - m) / (s*sqrt 2)) / 2 over ``_z_span`` in z, cut at the median m,
+    and the CDF erfc((m - y) / (s*sqrt 2)) / 2 at every y.
     """
     m, s = p.law
     if s < sys.float_info.min:
         with np.errstate(over="ignore"):
-            return m, m, None, (), float(np.exp(m))
+            return m, m, None, (), float(np.exp(m)), None
     low, high = (m + s * z for z in _z_span(m, s))
 
     def survival(y: np.ndarray) -> np.ndarray:
         return 0.5 * np.fromiter(map(math.erfc, ((y - m) / (s * _SQRT2)).tolist()), float, y.size)
 
-    return low, high, survival, (m,), 0.0
+    def cdf(y: float) -> float:
+        return 0.5 * math.erfc((m - y) / (s * _SQRT2))
+
+    return low, high, survival, (m,), 0.0, cdf
 
 
 def outage(p: PlcLinkParams, snr_threshold: float) -> float:
-    """P(gamma < snr_threshold) under ``p.law``, a normal ln(gamma).
-
-    At the point mass of ``log_snr_law`` the SNR is its floor, and the result
-    is a step there.
-    """
+    """P(gamma < snr_threshold) by ``specfun.snr_cdf`` (README, "Mean capacities")."""
     check_value("plc_link.outage: snr_threshold", snr_threshold, FINITE)
-    if snr_threshold <= 0.0:
-        return 0.0
-    _, _, survival, _, floor = log_snr_law(p)
-    if survival is None:
-        return 0.0 if floor >= snr_threshold else 1.0
-    centre, spread = p.law
-    return 0.5 * math.erfc((centre - math.log(snr_threshold)) / spread / _SQRT2)
+    return snr_cdf(log_snr_law(p), snr_threshold)

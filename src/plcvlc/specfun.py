@@ -2,9 +2,9 @@
 
 The quadrature rule comes from NumPy (``numpy.polynomial.legendre.leggauss``),
 tiled once per panel count and cached read-only in a bounded cache;
-``softplus_mean`` takes a mean capacity on it from a log-SNR survival.  The
-one 2F1 family the VLC closed form needs, 2F1(1, b; b+1; z) on -1 <= z <= 0,
-is a native series.  Errors name the offending argument.
+``softplus_mean`` takes a mean capacity on it from a log-SNR law and
+``snr_cdf`` an outage from its CDF.  The 2F1(1, b; b+1; z) on -1 <= z <= 0 of
+the VLC closed form is a native series.  Errors name the offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import FINITE, ParameterError, check_value
 
-__all__ = ["gauss_legendre_panels", "softplus_mean", "hyp2f1"]
+__all__ = ["gauss_legendre_panels", "softplus_mean", "snr_cdf", "hyp2f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +68,20 @@ def gauss_legendre_panels(
 def softplus_mean(*laws: tuple) -> float:
     """E[softplus(min Y)] over independent hops' log-SNRs Y, E[log(1 + min snr)] in nepers.
 
-    Each law is a hop's ``log_snr_law``, (low, high, survival, cuts, floor):
-    the support of Y, its survival S(y) = P(Y > y) there, vectorised (None at
-    a point mass), the hop's own cuts and the least SNR the sampler draws
-    (the point's SNR at a point mass).  Where a point mass lies at or below
-    every floor the mean is NumPy's log1p of its SNR, the sampler's bits, or
-    its y where the SNR overflows.  Otherwise it is softplus(low) + the
-    integral of prod S(y) * expit(y) over [low, high], the least ends: one
-    rule of ``PANEL_ORDER`` nodes a panel, cut at ``KINK_CUTS``, at each low
-    and hop cut and, where expit(y) is about e^y, every 8 nepers for 48
-    nepers below min(high, -4) (README, "Mean capacities").  A survival whose
-    support starts above low is clipped to 1; survivals and expit are taken
-    with overflow ignored (expit is 0 below y = -709).
+    Each law is a hop's ``log_snr_law``, (low, high, survival, cuts, floor,
+    cdf): the support of Y, its survival S(y) = P(Y > y) there, vectorised (None
+    at a point mass), the hop's own cuts, the least SNR the sampler draws (the
+    point's SNR at a point mass) and its CDF for ``snr_cdf``.  Where a point
+    mass lies at or below every floor the mean is NumPy's log1p of its SNR, the
+    sampler's bits, or its y where the SNR overflows.  Otherwise it is
+    softplus(low) + the integral of prod S(y) * expit(y) over [low, high], the
+    least ends: one rule of ``PANEL_ORDER`` nodes a panel, cut at ``KINK_CUTS``,
+    at each low and hop cut and, where expit(y) is about e^y, every 8 nepers for
+    48 nepers below min(high, -4) (README, "Mean capacities").  A survival whose
+    support starts above low is clipped to 1; survivals and expit are taken with
+    overflow ignored (expit is 0 below y = -709).
     """
-    lows, highs, survivals, cuts, floors = zip(*laws)
+    lows, highs, survivals, cuts, floors, _ = zip(*laws)
     if None in survivals:
         least = min(floors)
         for high, survival, floor in zip(highs, survivals, floors):
@@ -96,6 +96,21 @@ def softplus_mean(*laws: tuple) -> float:
                    for start, f in zip(lows, survivals) if f is not None]
         integrand = reduce(np.multiply, factors) / (1.0 + np.exp(-y))
     return max(low, 0.0) + math.log1p(math.exp(-abs(low))) + float(w @ integrand)
+
+
+def snr_cdf(law: tuple, threshold: float) -> float:
+    """P(snr < threshold) under a hop's ``log_snr_law`` (README, "Mean capacities").
+
+    0 at a threshold at or below 0; at a point mass a step at the law's
+    floor, the sampled SNR, as the sampler's ``snr < threshold`` sees it;
+    otherwise the law's CDF P(Y < y) at y = ln(threshold).
+    """
+    if threshold <= 0.0:
+        return 0.0
+    _, _, _, _, floor, cdf = law
+    if cdf is None:
+        return 0.0 if floor >= threshold else 1.0
+    return cdf(math.log(threshold))
 
 
 # ---------------------------------------------------------------------------

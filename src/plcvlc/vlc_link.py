@@ -2,10 +2,10 @@
 
 A single ceiling LED with a Lambertian radiation pattern serves a user whose
 horizontal position is uniform over a disc of radius ``cell_radius_m``.  The
-line-of-sight channel gain then has a known power-law distribution, which
-gives closed forms for the squared-gain CDF, the outage probability,
-and the average capacity (both by a fixed composite Gauss-Legendre rule and
-via the Gauss hypergeometric function).
+line-of-sight channel gain then has a known power-law distribution: its law
+in log-SNR gives the outage probability and the average capacity (README,
+"Mean capacities"), and the Gauss hypergeometric function the average
+capacity in closed form.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, REAL, ParameterError, check_fields, check_value
-from .specfun import hyp2f1, softplus_mean
+from .errors import FINITE, POSITIVE, ParameterError, check_fields, check_value
+from .specfun import hyp2f1, snr_cdf, softplus_mean
 
 __all__ = [
     "VlcLinkParams",
     "front_end_q",
     "gain_sq_law",
     "gain_sq",
-    "gain_sq_cdf",
     "avg_capacity_quad",
     "log_snr_law",
     "avg_capacity_closed",
@@ -168,33 +167,6 @@ def gain_sq(v: np.ndarray, law: VlcLaw, out: np.ndarray) -> np.ndarray:
     return np.power(out, law.m + 3.0, out=out)
 
 
-def gain_sq_cdf(x, p: VlcLinkParams):
-    """CDF of the squared channel gain: clamped power law on [t_min, t_max].
-
-    A scalar x must be a real number, not NaN; an array is taken as floats.
-    """
-    m, c_const, r_sq, height_sq, t_min, t_max, _ = p.law
-    offset = 1.0 + height_sq / r_sq
-    expo = -1.0 / (m + 3.0)
-    # isinstance first: np.ndim of a float costs more than the scalar path.
-    if isinstance(x, float) or np.ndim(x) == 0:
-        if type(x) is not float or x != x:
-            check_value("vlc_link.gain_sq_cdf: x", x, REAL)
-            x = float(x)
-        if x <= t_min:
-            return 0.0
-        if x >= t_max:
-            return 1.0
-        # NumPy's power, not math's: the two differ in the last bit for a few
-        # percent of arguments, and the array path below sets the bits.
-        return min(max(offset - (c_const / r_sq) * float(np.power(x, expo)), 0.0), 1.0)
-    values = np.asarray(x, dtype=float)
-    inside = (values > t_min) & (values < t_max)
-    safe = np.where(inside, values, t_min)
-    body = np.clip(offset - (c_const / r_sq) * safe ** expo, 0.0, 1.0)
-    return np.where(values <= t_min, 0.0, np.where(values >= t_max, 1.0, body))
-
-
 def avg_capacity_quad(p: VlcLinkParams) -> float:
     """Average spectral efficiency E[log2(1 + rho * h^2)] by composite Gauss-Legendre.
 
@@ -205,24 +177,28 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
 
 
 def log_snr_law(p: VlcLinkParams) -> tuple:
-    """The law of y = ln(rho*t) for ``specfun.softplus_mean`` (README, "Mean capacities").
+    """The law of y = ln(rho*t) for ``specfun``'s mean and outage (README, "Mean capacities").
 
     A support [ln(rho*t_min), ln(rho*t_max)] of one point (a vanishing cell)
-    is a point mass at rho*t_max.  Otherwise the survival is the expm1 ratio
-    expm1(beta*(high - y)) / expm1(beta*(high - low)), beta = 1/(m+3).
+    is a point mass at rho*t_max.  Otherwise, with beta = 1/(m+3), the
+    survival is expm1(beta*(high - y)) / expm1(beta*(high - low)) and the
+    CDF expm1(-beta*(y - low)) / expm1(-beta*(high - low)), clipped to [0, 1].
     """
     m, _, _, _, t_min, t_max, rho = p.law
     log_rho = math.log(rho)
     low, high = log_rho + math.log(t_min), log_rho + math.log(t_max)
     if not low < high:
-        return low, high, None, (), rho * t_max
+        return low, high, None, (), rho * t_max, None
     beta = 1.0 / (m + 3.0)
     scale = 1.0 / math.expm1(beta * (high - low))
 
     def survival(y: np.ndarray) -> np.ndarray:
         return np.expm1(beta * (high - y)) * scale
 
-    return low, high, survival, (), rho * t_min
+    def cdf(y: float) -> float:
+        return min(max(math.expm1(-beta * (y - low)) / math.expm1(-beta * (high - low)), 0.0), 1.0)
+
+    return low, high, survival, (), rho * t_min, cdf
 
 
 def avg_capacity_closed(p: VlcLinkParams) -> float:
@@ -267,7 +243,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
 
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:
-    """P(rho * h^2 < snr_threshold) = CDF of h^2 at snr_threshold/rho."""
+    """P(rho * h^2 < snr_threshold) by ``specfun.snr_cdf`` (README, "Mean capacities")."""
     check_value("vlc_link.outage: snr_threshold", snr_threshold, FINITE)
-    return gain_sq_cdf(snr_threshold / p.law.rho, p)
+    return snr_cdf(log_snr_law(p), snr_threshold)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gain_oracle import gain_sq_cdf
 from plcvlc import montecarlo, plc_link, relay, sweeps, vlc_link
 from plcvlc.errors import ParameterError
 from plcvlc.montecarlo import (
@@ -132,7 +133,7 @@ def test_vlc_sampler_inverts_location_law(default_system):
     n = 1_000_000
     gamma = sample_vlc_snr(p, rng.random(n))
     sample = np.sort(gamma * p.noise_variance / p.tx_power_w)
-    cdf = vlc_link.gain_sq_cdf(sample, p)
+    cdf = gain_sq_cdf(sample, p)
     ranks = np.arange(1, n + 1)
     statistic = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1) / n)))
     assert statistic < 1.6276 / math.sqrt(n)

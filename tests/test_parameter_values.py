@@ -96,26 +96,6 @@ def test_rate_to_snr_threshold_refuses_an_overflowing_threshold():
     assert relay.rate_to_snr_threshold(math.nextafter(1024.0, 0.0), 1.0) < math.inf
 
 
-# The infinities are real scalars for a CDF: the probabilities 0 and 1.
-@pytest.mark.parametrize("value", NOT_VALID[:6], ids=_IDS[:6])
-def test_gain_sq_cdf_refuses_a_scalar_that_is_not_real(default_system, value):
-    with pytest.raises(ParameterError, match="^vlc_link.gain_sq_cdf: x ") as err:
-        vlc_link.gain_sq_cdf(value, default_system.vlc)
-    assert str(err.value).endswith(f", got {value!r}")
-
-
-def test_gain_sq_cdf_takes_every_real_scalar(default_system):
-    p = default_system.vlc
-    assert vlc_link.gain_sq_cdf(-math.inf, p) == 0.0
-    assert vlc_link.gain_sq_cdf(math.inf, p) == 1.0
-    x = math.sqrt(p.law.t_min * p.law.t_max)
-    inside = vlc_link.gain_sq_cdf(x, p)
-    assert 0.0 < inside < 1.0
-    for value in (np.float64(x), Fraction(x)):
-        assert vlc_link.gain_sq_cdf(value, p) == inside
-    assert vlc_link.gain_sq_cdf(0, p) == 0.0 and vlc_link.gain_sq_cdf(10 ** 300, p) == 1.0
-
-
 def test_real_numbers_other_than_float_pass():
     for value in (3, np.float32(0.5), np.int64(2), Fraction(1, 3), 10 ** 300, math.inf):
         assert is_real(value)

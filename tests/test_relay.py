@@ -513,11 +513,8 @@ def test_numeric_mean_capacity_is_the_sampled_bits_on_a_point_mass_path(default_
     assert e2e_avg_capacity_numeric(s) == sampled.mean
 
 
-@pytest.mark.parametrize("hop", ["plc", "vlc", "vlc-6.49-degrees"])
-def test_log_snr_survival_matches_the_sampled_share_above(default_system, hop):
-    # At the deciles of one sample of y = ln(snr), the law's survival meets the
-    # share of an independent sample above them within 3 binomial SE.
-    n = 200_000
+def _law_and_two_samples(default_system, hop, n):
+    """The hop's ``log_snr_law`` and two independent samples of n values of y = ln(snr)."""
     draws = np.random.default_rng(29)
     if hop == "plc":
         law = plc_link.log_snr_law(default_system.plc)
@@ -527,6 +524,15 @@ def test_log_snr_survival_matches_the_sampled_share_above(default_system, hop):
         vlc = default_system.vlc if hop == "vlc" else _vlc_6_49_degrees(default_system)
         law = vlc_link.log_snr_law(vlc)
         samples = [np.log(montecarlo.sample_vlc_snr(vlc, draws.random(n))) for _ in range(2)]
+    return law, samples
+
+
+@pytest.mark.parametrize("hop", ["plc", "vlc", "vlc-6.49-degrees"])
+def test_log_snr_survival_matches_the_sampled_share_above(default_system, hop):
+    # At the deciles of one sample of y = ln(snr), the law's survival meets the
+    # share of an independent sample above them within 3 binomial SE.
+    n = 200_000
+    law, samples = _law_and_two_samples(default_system, hop, n)
     low, high, survival = law[:3]
     y = np.quantile(samples[0], np.linspace(0.1, 0.9, 9))
     assert low < y.min() and y.max() < high
@@ -534,3 +540,91 @@ def test_log_snr_survival_matches_the_sampled_share_above(default_system, hop):
     share = (samples[1][:, None] > y).mean(axis=0)
     se = np.sqrt(expected * (1.0 - expected) / n)
     assert np.all(np.abs(share - expected) <= 3.0 * se), (share, expected)
+
+
+@pytest.mark.parametrize("hop", ["plc", "vlc", "vlc-6.49-degrees"])
+def test_log_snr_cdf_matches_the_sampled_share_below(default_system, hop):
+    # At the deciles of one sample of y = ln(snr), the law's CDF meets the
+    # share of an independent sample below them within 3 binomial SE, and it
+    # completes the survival to 1.
+    n = 200_000
+    law, samples = _law_and_two_samples(default_system, hop, n)
+    survival, cdf = law[2], law[5]
+    y = np.quantile(samples[0], np.linspace(0.1, 0.9, 9))
+    expected = np.array([cdf(value) for value in y.tolist()])
+    share = (samples[1][:, None] < y).mean(axis=0)
+    se = np.sqrt(expected * (1.0 - expected) / n)
+    assert np.all(np.abs(share - expected) <= 3.0 * se), (share, expected)
+    assert np.all(np.abs(expected + survival(y) - 1.0) <= 1e-15)
+
+
+def _quantile_thresholds(snr_at):
+    """SNRs at the 5/30/70/95 % points of a hop's law, from a 50-digit ``snr_at(q)``."""
+    return [float(snr_at(mp.mpf(q) / 100)) for q in (5, 30, 70, 95)]
+
+
+def _vlc_outage_reference(p):
+    """(snr_at, outage) of the cell by 50-digit mpmath: P(v > v*) for the disc-uniform user.
+
+    The SNR at radius r_k is rho * (A / (r_k**2 + L**2)**((m+3)/2))**2, so
+    snr < x where v = (r_k/r)**2 exceeds v*(x) = ((A*sqrt(rho/x))**(2/(m+3)) - L**2) / r**2.
+    """
+    m = -1 / mp.log(mp.cos(mp.mpf(p.semi_angle_rad)), 2)
+    front_end = (mp.mpf(p.detector_area) * mp.mpf(p.filter_gain) * mp.mpf(p.concentrator_gain)
+                 * mp.mpf(p.responsivity) / (2 * mp.pi))
+    height, radius = mp.mpf(p.height_m), mp.mpf(p.cell_radius_m)
+    amplitude = front_end * (m + 1) * height ** (m + 1)
+    rho = mp.mpf(p.tx_power_w) / mp.mpf(p.noise_variance)
+
+    def snr_at(q):
+        return rho * amplitude ** 2 / ((1 - q) * radius ** 2 + height ** 2) ** (m + 3)
+
+    def outage(x):
+        v_star = ((amplitude * mp.sqrt(rho / x)) ** (2 / (m + 3)) - height ** 2) / radius ** 2
+        return 1 - min(max(v_star, 0), 1)
+
+    return snr_at, outage
+
+
+def _plc_outage_reference(p):
+    """(snr_at, outage) of the hop by 50-digit mpmath: the dB gain is N(2*mu, (2*sigma)**2)."""
+    alpha = mp.mpf(p.atten_a0) + mp.mpf(p.atten_a1) * mp.mpf(p.frequency_hz) ** mp.mpf(p.atten_k)
+    scale = (mp.mpf(p.tx_power_w) * mp.exp(-2 * alpha * mp.mpf(p.distance_m))
+             / mp.mpf(p.noise_variance))
+    mu, sigma = mp.mpf(p.fading_mu_db), mp.mpf(p.fading_sigma_db)
+
+    def snr_at(q):
+        return scale * mp.power(10, (mu + sigma * mp.sqrt(2) * mp.erfinv(2 * q - 1)) / 5)
+
+    def outage(x):
+        return mp.ncdf((5 * mp.log10(x / scale) - mu) / sigma)
+
+    return snr_at, outage
+
+
+def test_hop_outages_match_mpmath(default_system):
+    # Seeded cells (3-80 degrees, radius at least a tenth of the height) and
+    # hops, at their own 5/30/70/95 % SNRs and at the system's threshold.
+    rng = np.random.default_rng(32)
+    threshold = rate_to_snr_threshold(default_system.rate_threshold_bits,
+                                      default_system.duplex_factor)
+    cells = []
+    while len(cells) < 30:
+        height = rng.uniform(1.0, 5.0)
+        try:
+            cells.append(dataclasses.replace(
+                default_system.vlc, semi_angle_rad=math.radians(rng.uniform(3.0, 80.0)),
+                height_m=height, cell_radius_m=rng.uniform(height / 10.0, 12.0),
+                tx_power_w=10.0 ** rng.uniform(-8.0, 2.0)))
+        except ParameterError:
+            continue
+    hops = [dataclasses.replace(default_system.plc, fading_sigma_db=rng.uniform(0.3, 12.0),
+                                fading_mu_db=rng.uniform(-30.0, 30.0),
+                                distance_m=rng.uniform(5.0, 300.0)) for _ in range(30)]
+    with mp.workdps(50):
+        cases = [(p, vlc_link.outage, _vlc_outage_reference(p)) for p in cells]
+        cases += [(p, plc_link.outage, _plc_outage_reference(p)) for p in hops]
+        for p, outage, (snr_at, reference) in cases:
+            for x in _quantile_thresholds(snr_at) + [threshold]:
+                expected = reference(mp.mpf(x))
+                assert abs(outage(p, x) - expected) <= 1e-12 * expected, (p, x)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gain_oracle import gain_sq_cdf
 from plcvlc.errors import ParameterError
+from plcvlc.montecarlo import sample_vlc_snr
 from plcvlc.sweeps import CLOSED_VS_QUAD_RTOL
 from plcvlc.vlc_link import (
     VlcLinkParams,
@@ -14,7 +16,6 @@ from plcvlc.vlc_link import (
     avg_capacity_quad,
     front_end_q,
     gain_sq,
-    gain_sq_cdf,
     gain_sq_law,
     outage,
 )
@@ -279,22 +280,6 @@ def test_cdf_monotone():
     xs = np.exp(np.linspace(math.log(t_min * 1.01), math.log(t_max * 0.99), 1000))
     cdf = gain_sq_cdf(xs, p)
     assert np.all(np.diff(cdf) > 0)
-
-
-@pytest.mark.parametrize("semi_angle_deg", [20.0, 60.0, 80.0])
-def test_cdf_scalar_path_equals_array_path(semi_angle_deg):
-    # The scalar path (every vlc_link.outage call) must keep the array path's bits.
-    p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
-    t_min, t_max = p.law.t_min, p.law.t_max
-    xs = np.concatenate([
-        np.exp(np.random.default_rng(5).uniform(math.log(t_min), math.log(t_max), 5000)),
-        [0.0, t_min, np.nextafter(t_min, math.inf), np.nextafter(t_max, 0.0), t_max, 2.0 * t_max],
-    ])
-    array = gain_sq_cdf(xs, p)
-    scalars = [gain_sq_cdf(x, p) for x in xs.tolist()]
-    assert all(type(v) is float for v in scalars)
-    assert scalars == array.tolist()
-    assert [gain_sq_cdf(x, p) for x in xs[:10]] == array[:10].tolist()
 
 
 def test_cdf_matches_empirical_cdf():
@@ -586,3 +571,20 @@ def test_outage_matches_sampling():
     mean = float(hits.mean())
     se = float(hits.std(ddof=1)) / math.sqrt(len(hits))
     assert abs(outage(p, 1.0) - mean) <= 3.0 * se
+
+
+@pytest.mark.parametrize("radius", [1e-9, 3e-9, 1e-10])
+def test_outage_on_a_vanishing_cell_is_the_sampled_step(radius):
+    # Every user of such a cell has the nadir SNR.  The outage used to compare
+    # the rounded snr_threshold / rho with t_max, and so put its step on the
+    # wrong side of the sampled SNR: 1.0 at 2.9 m and 0.5 W with the sampled
+    # SNR itself as the threshold, 0.0 at 3 m and 0.1 W one ulp above it.
+    v = np.linspace(0.0, 1.0, 11)
+    for height in (2.15, 2.5, 2.9, 3.0):
+        for power in (0.01, 0.1, 0.5, 2.0):
+            p = make_params(cell_radius_m=radius, height_m=height, tx_power_w=power)
+            snr = sample_vlc_snr(p, v)
+            below = math.nextafter(snr[0], 0.0)
+            for threshold in (below, snr[0], math.nextafter(snr[0], math.inf),
+                              math.nextafter(math.nextafter(snr[0], math.inf), math.inf)):
+                assert outage(p, threshold) == float(np.mean(snr < threshold)), (p, threshold)
