@@ -282,6 +282,24 @@ def test_cdf_monotone():
     assert np.all(np.diff(cdf) > 0)
 
 
+@pytest.mark.parametrize("semi_angle_deg", [20.0, 60.0, 80.0])
+def test_cdf_scalar_path_equals_array_path(semi_angle_deg):
+    # The scalar log-SNR CDF that every vlc_link.outage call reads must agree
+    # with the independent u-form CDF taken over the whole array at once.
+    p = make_params(semi_angle_rad=math.radians(semi_angle_deg))
+    t_min, t_max, rho = p.law.t_min, p.law.t_max, p.law.rho
+    xs = np.concatenate([
+        np.exp(np.random.default_rng(5).uniform(math.log(t_min), math.log(t_max), 5000)),
+        [t_min, np.nextafter(t_min, math.inf), np.nextafter(t_max, 0.0), t_max],
+    ])
+    array = gain_sq_cdf(xs, p)
+    scalars = [outage(p, rho * x) for x in xs.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.max(np.abs(np.array(scalars) - array)) <= 1e-14
+    assert outage(p, 0.0) == 0.0
+    assert outage(p, rho * 0.5 * t_min) == 0.0 and outage(p, rho * 2.0 * t_max) == 1.0
+
+
 def test_cdf_matches_empirical_cdf():
     p = make_params()
     rng = np.random.default_rng(55)
