@@ -9,7 +9,7 @@ power gain is N(2*mu, (2*sigma)^2)).
 So ln(gamma) = m + s*Z, Z standard normal, with m = ln a + mu*ln(10)/5 and
 s = sigma*ln(10)/5: ``PlcLinkParams.law``, in the sampler's own arithmetic.
 ``log_snr_law`` states it for ``specfun``'s mean and outage (README, "Mean
-capacities"); below the least normal spread it is a point mass at the sampler's SNR.
+capacities"); wherever the sampler draws one SNR it is a point mass there.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FINITE, NONNEGATIVE, POSITIVE, ParameterError, check_fields, check_value
-from .specfun import KINK_CUTS, PANEL_ORDER, gauss_legendre_panels, snr_cdf, softplus_mean
+from .specfun import PANEL_ORDER, normal_softplus_mean, normal_span, snr_cdf, softplus_mean
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
 
@@ -32,10 +32,7 @@ __all__ = [
 # A dB amplitude gain x is the power gain 10**(x/5) = exp(x * _LN10_OVER_5).
 _LN10_OVER_5 = math.log(10.0) / 5.0
 _LN2 = math.log(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-# The mean's rule drops the normal density beyond this many spreads (phi(9) = 1e-18).
-_NORMAL_TAIL = 9.0
 # |m + s*z| <= |m| + _Z_REACH*s wherever the log-SNR is formed: the mean's rule
 # keeps it within |m| + 9s, and NumPy's ziggurat never draws |z| above 13.71.
 _Z_REACH = 16.0
@@ -103,45 +100,34 @@ def avg_capacity(p: PlcLinkParams) -> float:
 
     It is E[softplus(Y)] / ln 2 with ln(gamma) = Y = m + s*Z, (m, s) = ``p.law``:
     at the point mass of ``log_snr_law`` the sampled capacity bit for bit,
-    else one Gauss-Legendre rule in z against the normal density (README,
-    "Power-line mean capacity").  No duplexing factor is applied here.
+    else ``specfun.normal_softplus_mean`` (README, "Power-line mean
+    capacity").  No duplexing factor is applied here.
     """
     law = log_snr_law(p)
     if law[2] is None:
         return softplus_mean(law) / _LN2
-    m, s = p.law
-    z, w = _z_rule(m, s)
-    nepers = float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
-    return nepers / _LN2
-
-
-def _z_rule(m: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """``avg_capacity``'s rule in z, reading ``PANEL_ORDER`` at each call (tests patch it)."""
-    kink = -m / s
-    return gauss_legendre_panels(
-        *_z_span(m, s), PANEL_ORDER, (0.0, *(kink + y / s for y in KINK_CUTS))
-    )
-
-
-def _z_span(m: float, s: float) -> tuple[float, float]:
-    """[-9, max(0, min(s, -m/s)) + 9], where softplus(m + s*z) * phi(z) has its mass."""
-    return -_NORMAL_TAIL, max(0.0, min(s, -m / s)) + _NORMAL_TAIL
+    return normal_softplus_mean(*p.law) / _LN2
 
 
 def log_snr_law(p: PlcLinkParams) -> tuple:
     """The law of y = ln(gamma) for ``specfun``'s mean and outage (README, "Mean capacities").
 
-    A spread below the least normal float is a point mass at the sampler's
-    SNR, NumPy's exp(m), not math's (they differ in the last bit for a few
-    percent), inf where it overflows.  Otherwise the survival is
-    erfc((y - m) / (s*sqrt 2)) / 2 over ``_z_span`` in z, cut at the median m,
-    and the CDF erfc((m - y) / (s*sqrt 2)) / 2 at every y.
+    It is a point mass wherever the sampler draws one SNR: where NumPy's
+    exp(m -+ 16*s), the sampler's arithmetic, give one finite float, or m -+ 16*s
+    one float (at exp(m), inf where it overflows); NumPy's exp, not math's,
+    which differ in the last bit for a few percent.  Otherwise the survival is
+    erfc((y - m) / (s*sqrt 2)) / 2 over ``normal_span`` in z, cut at the
+    median m, and the CDF erfc((m - y) / (s*sqrt 2)) / 2 at every y.
     """
     m, s = p.law
-    if s < sys.float_info.min:
+    low, high = m - _Z_REACH * s, m + _Z_REACH * s
+    # exp(high) / exp(low) is about 1 + (high - low): only a narrow span gives one float.
+    if high - low < 1e-12:
         with np.errstate(over="ignore"):
-            return m, m, None, (), float(np.exp(m)), None
-    low, high = (m + s * z for z in _z_span(m, s))
+            ends = np.exp([low, high]).tolist()
+        if low == high or ends[0] == ends[1] < math.inf:
+            return m, m, None, (), ends[1], None
+    low, high = (m + s * z for z in normal_span(m, s))
 
     def survival(y: np.ndarray) -> np.ndarray:
         return 0.5 * np.fromiter(map(math.erfc, ((y - m) / (s * _SQRT2)).tolist()), float, y.size)

@@ -1,10 +1,10 @@
-"""Special-function kernel: Gauss-Legendre rules, the mean capacity kernel and the 2F1.
+"""Special-function kernel: Gauss-Legendre rules, the mean capacity kernels and the 2F1.
 
 The quadrature rule comes from NumPy (``numpy.polynomial.legendre.leggauss``),
-tiled once per panel count and cached read-only in a bounded cache;
-``softplus_mean`` takes a mean capacity on it from a log-SNR law and
-``snr_cdf`` an outage from its CDF.  The 2F1(1, b; b+1; z) on -1 <= z <= 0 of
-the VLC closed form is a native series.  Errors name the offending argument.
+tiled once per panel count and cached read-only in a bounded cache; on it
+``softplus_mean`` and ``normal_softplus_mean`` take every mean capacity, and
+``snr_cdf`` an outage from a law's CDF.  The 2F1(1, b; b+1; z) on -1 <= z <= 0
+of the VLC closed form is a native series.  Errors name the offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -20,7 +20,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import FINITE, ParameterError, check_value
 
-__all__ = ["gauss_legendre_panels", "softplus_mean", "snr_cdf", "hyp2f1"]
+__all__ = ["gauss_legendre_panels", "softplus_mean", "normal_span", "normal_softplus_mean",
+           "snr_cdf", "hyp2f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +29,12 @@ __all__ = ["gauss_legendre_panels", "softplus_mean", "snr_cdf", "hyp2f1"]
 # ---------------------------------------------------------------------------
 
 # Every analytic mean's rule is cut where its softplus(y) kinks and beside its poles
-# at y = +-i*pi, with PANEL_ORDER nodes a panel.
+# at y = +-i*pi, with PANEL_ORDER nodes a panel (read at each call: tests patch it).
 KINK_CUTS = (-32.0, -4.0, 0.0, 4.0, 32.0)
 PANEL_ORDER = 16
+# The normal mean's rule drops the density beyond this many spreads (phi(9) = 1e-18).
+_NORMAL_TAIL = 9.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @lru_cache(maxsize=64)
@@ -42,13 +46,11 @@ def _tiled_legendre_arrays(order: int, panels: int) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def gauss_legendre_panels(
-    low: float, high: float, order: int, splits=()
-) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_panels(low: float, high: float, splits=()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule over [low, high].
 
     The interval is cut at each split point strictly inside it (others are
-    ignored), and each segment into two equal panels of ``order`` nodes;
+    ignored), and each segment into two equal panels of ``PANEL_ORDER`` nodes;
     ``weights @ f(nodes)`` then integrates f in one vectorised call.  A Gauss
     rule converges at a rate set by the integrand's nearest complex
     singularity (Trefethen, "Is Gauss quadrature better than
@@ -59,10 +61,10 @@ def gauss_legendre_panels(
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
     half = (cuts[1:] - cuts[:-1]) / 2.0
     centre = cuts[:-1] + half
-    # 1-D, not (panels, 1) x (order,): one long NumPy loop per operation, same bits.
-    xs, ws = _tiled_legendre_arrays(order, half.size)
-    half = half.repeat(order)
-    return half * xs + centre.repeat(order), half * ws
+    # 1-D, not (panels, 1) x (PANEL_ORDER,): one long NumPy loop per operation, same bits.
+    xs, ws = _tiled_legendre_arrays(PANEL_ORDER, half.size)
+    half = half.repeat(PANEL_ORDER)
+    return half * xs + centre.repeat(PANEL_ORDER), half * ws
 
 
 def softplus_mean(*laws: tuple) -> float:
@@ -90,12 +92,28 @@ def softplus_mean(*laws: tuple) -> float:
     low, high = min(lows), min(highs)
     top = min(high, KINK_CUTS[1])
     tail = (top - 8.0 * k for k in range(1, 7))
-    y, w = gauss_legendre_panels(low, high, PANEL_ORDER, (*KINK_CUTS, *lows, *sum(cuts, ()), *tail))
+    y, w = gauss_legendre_panels(low, high, (*KINK_CUTS, *lows, *sum(cuts, ()), *tail))
     with np.errstate(over="ignore"):
         factors = [f(y) if start <= low else np.minimum(f(y), 1.0)
                    for start, f in zip(lows, survivals) if f is not None]
         integrand = reduce(np.multiply, factors) / (1.0 + np.exp(-y))
     return max(low, 0.0) + math.log1p(math.exp(-abs(low))) + float(w @ integrand)
+
+
+def normal_span(m: float, s: float) -> tuple[float, float]:
+    """[-9, max(0, min(s, -m/s)) + 9] in z, where softplus(m + s*z) * phi(z) has its mass."""
+    return -_NORMAL_TAIL, max(0.0, min(s, -m / s)) + _NORMAL_TAIL
+
+
+def normal_softplus_mean(m: float, s: float) -> float:
+    """E[softplus(m + s*Z)] in nepers, Z standard normal and s > 0, against its density.
+
+    One rule in z over ``normal_span``, cut at 0 and at z0 + ``KINK_CUTS``/s
+    around the kink z0 = -m/s of softplus (README, "Power-line mean capacity").
+    """
+    kink = -m / s
+    z, w = gauss_legendre_panels(*normal_span(m, s), (0.0, *(kink + y / s for y in KINK_CUTS)))
+    return float((w * np.exp(-0.5 * z ** 2)) @ np.logaddexp(0.0, m + s * z)) / _SQRT_2PI
 
 
 def snr_cdf(law: tuple, threshold: float) -> float:

@@ -132,8 +132,10 @@ def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
     hundreds), and the base C / (r**2*v + L**2) is t**(1/(m+3)): a narrow
     beam takes no intermediate out of the normal range where t and L**2
     stay in it.  t_min and t_max are ``gain_sq`` at v = 1 and v = 0, so the
-    sampler reaches them exactly.  Out-of-range values come out as inf, 0 or
-    nan, for ``VlcLinkParams`` to refuse.
+    sampler reaches them exactly.  Where ln(rho) + ln(t) is one float at both,
+    ``log_snr_law``'s point mass at rho*t_max, t_min is t_max and r_sq is 0,
+    so the sampler draws t_max everywhere.  Out-of-range values come out as
+    inf, 0 or nan, for ``VlcLinkParams`` to refuse.
     """
     m = -1.0 / math.log2(math.cos(p.semi_angle_rad))  # Lambertian order, angle checked
     r_sq, height_sq = p.cell_radius_m * p.cell_radius_m, p.height_m * p.height_m
@@ -152,6 +154,12 @@ def gain_sq_law(p: VlcLinkParams) -> VlcLaw:
             t_min, t_max = np.power(bases, m + 3.0).tolist()
     else:
         t_min, t_max = np.power(bases, m + 3.0).tolist()
+    # In range |ln(rho*t)| < 1417, where an ulp is 2.3e-13: only a gap far below 1e-9 can
+    # round to one log-SNR.  Test only laws VlcLinkParams accepts (math.log refuses 0).
+    if (t_max - t_min < 1e-9 * t_max and sys.float_info.min <= rho < math.inf
+            and sys.float_info.min <= t_min < t_max < math.inf
+            and math.log(rho) + math.log(t_min) == math.log(rho) + math.log(t_max)):
+        r_sq, t_min = 0.0, t_max
     return VlcLaw(m, c_const, r_sq, height_sq, t_min, t_max, rho)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from plcvlc import load_config, plc_link, specfun
+from plcvlc import load_config, specfun
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,34 +25,21 @@ def perfbench(monkeypatch):
     return importlib.import_module("layers"), importlib.import_module("grid")
 
 
-def _record_sizes(monkeypatch, module, name):
-    """Patch ``module.name``, a rule builder, to record the node count of every rule it builds."""
+@pytest.fixture
+def rule_sizes(monkeypatch):
+    """The node count of every rule ``specfun.gauss_legendre_panels`` builds, in call order.
+
+    Every analytic mean builds its rule there.  A test doubles the nodes by
+    patching ``specfun.PANEL_ORDER``; the sizes show that the patched rules
+    really have twice as many.
+    """
     sizes = []
-    rule = getattr(module, name)
+    rule = specfun.gauss_legendre_panels
 
     def recording(*args):
         nodes, weights = rule(*args)
         sizes.append(nodes.size)
         return nodes, weights
 
-    monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(specfun, "gauss_legendre_panels", recording)
     return sizes
-
-
-@pytest.fixture
-def z_rule_sizes(monkeypatch):
-    """The node count of every rule ``plc_link._z_rule`` builds, in call order.
-
-    A test doubles the nodes by patching ``plc_link.PANEL_ORDER``; the sizes
-    show that the patched rule really has twice as many.
-    """
-    return _record_sizes(monkeypatch, plc_link, "_z_rule")
-
-
-@pytest.fixture
-def y_rule_sizes(monkeypatch):
-    """The node count of every rule ``specfun.softplus_mean`` builds, in call order.
-
-    A test doubles the nodes by patching ``specfun.PANEL_ORDER``.
-    """
-    return _record_sizes(monkeypatch, specfun, "gauss_legendre_panels")

@@ -129,16 +129,16 @@ def test_gain_distribution_correctness(system):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0, 6.0])
-def test_quadrature_convergence(system, sigma, z_rule_sizes, monkeypatch):
+def test_quadrature_convergence(system, sigma, rule_sizes, monkeypatch):
     p = dataclasses.replace(system.plc, fading_sigma_db=sigma)
     value = plc_link.avg_capacity(p)
-    monkeypatch.setattr(plc_link, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
     doubled = plc_link.avg_capacity(p)
     rel = abs(value - doubled) / abs(doubled)
     _report(
         f"quadrature convergence sigma={sigma}",
-        rel <= 1e-8 and z_rule_sizes[1] == 2 * z_rule_sizes[0],
-        f"rel diff {rel:.2e} between {z_rule_sizes[0]} and {z_rule_sizes[1]} nodes",
+        rel <= 1e-8 and rule_sizes[1] == 2 * rule_sizes[0],
+        f"rel diff {rel:.2e} between {rule_sizes[0]} and {rule_sizes[1]} nodes",
     )
 
 

@@ -752,12 +752,16 @@ def test_bad_sweep_value_names_its_variable(capsys, variable, args):
 # masses the end-to-end integral was 95 ulps off a sample with no spread.  On
 # 1.4 km of cable every trial was an outage, a sample with standard error 0
 # against an analytic 0.99999997.  A subnormal spread is the sampler's point
-# mass too, but the PLC mean took its z-rule there, 3 ulps off.
+# mass too, but the PLC mean took its z-rule there, 3 ulps off; so did every
+# spread up to 1e-17 dB, and 1e-100 dB at a median SNR of 0 dB, while every
+# sampled SNR was exp(m).
 @pytest.mark.parametrize(
     "line",
     ["cell_radius_m = 1e-4", "cell_radius_m = 1e-6", "cell_radius_m = 1e-7",
      "cell_radius_m = 3e-8", "semi_angle_deg = 3", "semi_angle_deg = 4", "semi_angle_deg = 5",
-     "fading_sigma_db = 0", "fading_sigma_db = 1e-320",
+     "fading_sigma_db = 0", "fading_sigma_db = 1e-320", "fading_sigma_db = 1e-300",
+     "fading_sigma_db = 1e-200", "fading_sigma_db = 1e-100", "fading_sigma_db = 1e-30",
+     "fading_sigma_db = 1e-17", "fading_sigma_db = 1e-100\nplc_median_snr_db = 0",
      pytest.param(
          "fading_sigma_db = 0\nfading_mu_db = -4.495783679103389\n"
          "plc_median_snr_db = 4.771212547196625",

@@ -217,21 +217,21 @@ def test_capacity_jensen_bound():
         assert avg_capacity(p) <= bound + 1e-9
 
 
-def test_default_rule_has_panel_order_nodes_per_panel(z_rule_sizes, monkeypatch):
-    p = make_params()
+def test_default_rule_has_panel_order_nodes_per_panel(rule_sizes, monkeypatch):
+    p, order = make_params(), specfun.PANEL_ORDER
     avg_capacity(p)
-    monkeypatch.setattr(plc_link, "PANEL_ORDER", 1)  # one node a panel
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 1)  # one node a panel
     avg_capacity(p)
-    assert z_rule_sizes == [z_rule_sizes[1] * specfun.PANEL_ORDER, z_rule_sizes[1]]
+    assert rule_sizes == [rule_sizes[1] * order, rule_sizes[1]]
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
-def test_capacity_quadrature_converged(sigma, z_rule_sizes, monkeypatch):
+def test_capacity_quadrature_converged(sigma, rule_sizes, monkeypatch):
     p = make_params(fading_sigma_db=sigma, noise_variance=reference_noise_for_median_snr(10.0))
     value = avg_capacity(p)
-    monkeypatch.setattr(plc_link, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
     doubled = avg_capacity(p)
-    assert z_rule_sizes[1] == 2 * z_rule_sizes[0]
+    assert rule_sizes[1] == 2 * rule_sizes[0]
     assert value == pytest.approx(doubled, rel=1e-8, abs=0.0)
 
 
@@ -359,16 +359,25 @@ def test_analytic_layer_reads_the_sampled_law():
 
 
 
-@pytest.mark.parametrize("sigma_db", [5e-324, 1e-320, 2e-308])
-def test_subnormal_spread_is_the_sampled_point_mass(sigma_db):
-    # A spread below the least normal float samples one SNR, NumPy's exp(m),
-    # 10.000000000000002 on the default hop: its mean and outage are the
-    # sampled ones, as at zero spread (1e-320 gave 0.5 at a threshold of 10).
-    system, _ = load_config(None, {"fading_sigma_db": sigma_db})
+@pytest.mark.parametrize(
+    "overrides",
+    [*({"fading_sigma_db": sigma_db}
+       for sigma_db in (5e-324, 1e-320, 2e-308, 1e-300, 1e-200, 1e-100, 1e-30, 1e-17)),
+     {"fading_sigma_db": 1e-100, "plc_median_snr_db": 0.0}],
+    ids=lambda overrides: ",".join(f"{key}={value}" for key, value in overrides.items()),
+)
+def test_narrow_spread_is_the_sampled_point_mass(overrides):
+    # A spread this narrow samples one SNR, NumPy's exp(m), 10.000000000000002
+    # on the default hop: its mean and outage are the sampled ones, as at zero
+    # spread (1e-320 gave 0.5 at a threshold of 10).  Only a subnormal spread
+    # used to be a point mass: at 1e-100 the mean was 3.4594316186372964
+    # against the sampled 3.4594316186372978, and so at a median SNR of 0 dB.
+    system, _ = load_config(None, overrides)
     p = system.plc
-    snr = sample_plc_snr(p, np.linspace(-8.0, 8.0, 17))
+    snr = sample_plc_snr(p, np.linspace(-16.0, 16.0, 33))
     assert np.all(snr == float(np.exp(p.law[0])))
-    for threshold in (3.0, 10.0, float(snr[0]), math.nextafter(float(snr[0]), math.inf)):
+    for threshold in (3.0, 10.0, math.nextafter(float(snr[0]), 0.0), float(snr[0]),
+                      math.nextafter(float(snr[0]), math.inf)):
         assert outage(p, threshold) == float(np.mean(snr < threshold)), threshold
     sampled = estimate_many([("plc_avg_capacity", system)], McConfig(trials=MIN_TRIALS, seed=1))
     assert avg_capacity(p) == sampled[0].mean

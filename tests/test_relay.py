@@ -226,7 +226,7 @@ def test_numeric_mean_capacity_at_a_huge_spread(sigma_db, radius_m):
     )
 
 
-def test_numeric_mean_capacity_error_estimate(default_system, y_rule_sizes, monkeypatch):
+def test_numeric_mean_capacity_error_estimate(default_system, rule_sizes, monkeypatch):
     # The error estimate of the end-to-end and the VLC means is the distance
     # to the rule with twice the nodes, at the default point and at points
     # that take the tail cuts.
@@ -240,9 +240,9 @@ def test_numeric_mean_capacity_error_estimate(default_system, y_rule_sizes, monk
     values = means()
     monkeypatch.setattr(specfun, "PANEL_ORDER", 2 * specfun.PANEL_ORDER)
     finer = means()
-    half = len(y_rule_sizes) // 2
-    assert len(y_rule_sizes) == 2 * len(values)
-    assert y_rule_sizes[half:] == [2 * size for size in y_rule_sizes[:half]]
+    half = len(rule_sizes) // 2
+    assert len(rule_sizes) == 2 * len(values)
+    assert rule_sizes[half:] == [2 * size for size in rule_sizes[:half]]
     for value, fine in zip(values, finer):
         assert 0.0 <= abs(fine - value) <= 1e-12 * value
     # At zero spread the PLC survival is a step at its point mass: the VLC

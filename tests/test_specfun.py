@@ -33,13 +33,25 @@ def test_no_other_module_names_gauss_hermite():
     assert naming == ["plc_link.py"]
 
 
+def test_no_other_module_builds_a_gauss_legendre_rule():
+    # One module holds the panel policy, so patching specfun.PANEL_ORDER
+    # alone doubles every mean's nodes.
+    names = ("gauss_legendre_panels", "leggauss", "KINK_CUTS")
+    naming = sorted(
+        path.name for path in Path(specfun.__file__).parent.glob("*.py")
+        if any(name in path.read_text() for name in names)
+    )
+    assert naming == ["specfun.py"]
+
+
 # ---------------------------------------------------------------------------
 # gauss_legendre_panels
 # ---------------------------------------------------------------------------
 
-def test_panels_integrate_piecewise_polynomials_exactly():
+def test_panels_integrate_piecewise_polynomials_exactly(monkeypatch):
     # Degree 2n - 1 = 7 on each panel, with a kink at the split point 1.
-    nodes, weights = gauss_legendre_panels(-1.0, 3.0, 4, splits=(1.0, -5.0, 7.0, math.nan))
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 4)
+    nodes, weights = gauss_legendre_panels(-1.0, 3.0, splits=(1.0, -5.0, 7.0, math.nan))
     assert nodes.size == weights.size == 2 * 2 * 4
     assert np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 3.0
     # x**7 integrates to 0 over [-1, 1], (x - 1)**3 to 2**4 / 4 over [1, 3].
@@ -47,10 +59,9 @@ def test_panels_integrate_piecewise_polynomials_exactly():
     assert weights @ values == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
-def test_panels_are_fresh_writable_arrays_off_read_only_tiles():
-    from plcvlc import specfun
-
-    args = (0.5, 7.0, 8, (1.0, 3.0))
+def test_panels_are_fresh_writable_arrays_off_read_only_tiles(monkeypatch):
+    monkeypatch.setattr(specfun, "PANEL_ORDER", 8)
+    args = (0.5, 7.0, (1.0, 3.0))
     first, second = gauss_legendre_panels(*args), gauss_legendre_panels(*args)
     tiles = specfun._tiled_legendre_arrays(8, 6)
     for tile in tiles:
@@ -70,20 +81,19 @@ def test_panels_are_fresh_writable_arrays_off_read_only_tiles():
     assert np.array_equal(tiles[1], np.tile(weights, 6))
 
 
-def test_panel_tile_cache_is_bounded():
-    from plcvlc import specfun
-
+def test_panel_tile_cache_is_bounded(monkeypatch):
     maxsize = specfun._tiled_legendre_arrays.cache_info().maxsize
     assert maxsize is not None and maxsize <= 256
     for order in range(1, 5):
+        monkeypatch.setattr(specfun, "PANEL_ORDER", order)
         for count in range(maxsize):
-            gauss_legendre_panels(0.0, 1.0, order, [(k + 1.0) / (count + 1.0) for k in range(count)])
+            gauss_legendre_panels(0.0, 1.0, [(k + 1.0) / (count + 1.0) for k in range(count)])
     assert specfun._tiled_legendre_arrays.cache_info().currsize <= maxsize
 
 
-def _panels_with_array_splits(low, high, order, splits=()):
-    """The rule with its panels formed as a (panels, order) NumPy array (reference)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _panels_with_array_splits(low, high, splits=()):
+    """The rule with its panels formed as a (panels, PANEL_ORDER) NumPy array (reference)."""
+    x, w = np.polynomial.legendre.leggauss(specfun.PANEL_ORDER)
     edges = [low, *sorted({p for p in splits if low < p < high}), high]
     cuts = np.array([*(c for a, b in zip(edges, edges[1:]) for c in (a, a + (b - a) / 2.0)), high])
     half = (cuts[1:, None] - cuts[:-1, None]) / 2.0
@@ -96,7 +106,7 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
     # analytic-grid ranges with semi-angles down to 3 degrees.
     import dataclasses
 
-    from plcvlc import plc_link, relay, sweeps, vlc_link
+    from plcvlc import relay, sweeps, vlc_link
 
     calls = []
 
@@ -104,8 +114,7 @@ def test_panels_bit_identical_to_array_splits_on_grid_cut_sets(default_system, m
         calls.append(args)
         return gauss_legendre_panels(*args)
 
-    # plc_link's density rule, and specfun.softplus_mean's rule in log-SNR.
-    monkeypatch.setattr(plc_link, "gauss_legendre_panels", recording)
+    # The PLC mean's rule in z, and specfun.softplus_mean's rule in log-SNR.
     monkeypatch.setattr(specfun, "gauss_legendre_panels", recording)
     rng = np.random.default_rng(3)
     for _ in range(60):

@@ -17,6 +17,7 @@ from plcvlc.vlc_link import (
     front_end_q,
     gain_sq,
     gain_sq_law,
+    log_snr_law,
     outage,
 )
 
@@ -606,3 +607,25 @@ def test_outage_on_a_vanishing_cell_is_the_sampled_step(radius):
             for threshold in (below, snr[0], math.nextafter(snr[0], math.inf),
                               math.nextafter(math.nextafter(snr[0], math.inf), math.inf)):
                 assert outage(p, threshold) == float(np.mean(snr < threshold)), (p, threshold)
+
+
+def test_sampler_draws_one_snr_on_every_point_mass_cell(default_system):
+    # A cell whose log-SNR support is one float is the law's point mass at
+    # rho*t_max, but its gains could still differ by a few ulps: 15 of these
+    # 83 point-mass cells sampled distinct SNRs, and the outage step at the
+    # top SNR missed the sampled share (0.05 to 0.38 below it).
+    v = np.random.default_rng(0).random(100_000)
+    masses = 0
+    for height in (2.15, 2.5, 2.9):
+        for radius in np.geomspace(1e-8, 1e-7, 60).tolist():
+            p = dataclasses.replace(default_system.vlc, height_m=height, cell_radius_m=radius)
+            if log_snr_law(p)[2] is not None:
+                continue
+            masses += 1
+            assert p.law.t_min == p.law.t_max
+            snr = sample_vlc_snr(p, v)
+            assert np.all(snr == snr[0]) and snr[0] == p.law.rho * p.law.t_max
+            below, above = math.nextafter(snr[0], 0.0), math.nextafter(snr[0], math.inf)
+            for threshold in (below, snr[0], above):
+                assert outage(p, threshold) == float(np.mean(snr < threshold)), (p, threshold)
+    assert masses == 83
