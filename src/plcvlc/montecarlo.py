@@ -2,11 +2,12 @@
 
 Every request reduces one path SNR per trial: a hop's own SNR or, end to end,
 min(SNR_plc, SNR_vlc), since the decode-and-forward relay forwards only what
-both hops carry.  A capacity is the mean of level * (log1p(snr) / ln 2), an
-outage the share of trials with snr below the SNR threshold.  Each batch
-runs in place in the five rows of one work array that its thread reuses
-from batch to batch (normals, uniforms, PLC SNR, VLC SNR, values), and
-sums pairwise in NumPy, never in BLAS, whose bits could depend on the build.
+both hops carry.  A capacity is the mean of log1p(snr) in nepers, which
+``specfun.bits`` converts once, as it does every analytic mean; an outage is
+the share of trials with snr below the SNR threshold.  Each batch runs in
+place in the five rows of one work array that its thread reuses from batch
+to batch (normals, uniforms, PLC SNR, VLC SNR, values), and sums pairwise in
+NumPy, never in BLAS, whose bits could depend on the build.
 
 Determinism contract: every reported Estimate is a pure function of
 (seed, trials, batch_size, parameters, metric), whichever other requests
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import ParameterError, is_integer
 from .plc_link import PlcLinkParams
 from .relay import RelaySystemParams
+from .specfun import bits
 from .vlc_link import VlcLinkParams, gain_sq
 
 __all__ = [
@@ -57,8 +59,6 @@ MIN_TRIALS = 1_000
 # The one-pass sum of squared deviations, total_sq - total**2 / n, carries a
 # rounding error of up to about this share of total_sq (128 ulps).
 _RESOLVED = 2.0 ** -45
-# A capacity in bits is log1p(snr) / _LN2.
-_LN2 = math.log(2.0)
 # Rounding of a sampled mean, in ulps of it (``_combine``).
 _ROUNDING_ULPS = 2.0
 
@@ -135,13 +135,13 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
-    """(kind, plc, vlc, level) of one request.
+def _reduction_key(metric: str, system: RelaySystemParams) -> tuple[tuple, float | None]:
+    """The key (kind, plc, vlc, threshold) that batches reduce for one request, and its level.
 
     plc and vlc are the hop parameters whose smallest SNR the request reads,
-    None for a hop it does not read.  The level is an outage's SNR
-    threshold, else a capacity's factor: the duplex factor end to end, 1.0
-    for a hop.  Equal keys, equal estimates.
+    None for a hop it does not read.  An outage has its SNR threshold and no
+    level; a capacity, reduced in nepers, has none and the level that takes
+    it to bits: the duplex factor end to end, 1.0 for a hop.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -149,10 +149,8 @@ def _reduction_key(metric: str, system: RelaySystemParams) -> tuple:
     plc = None if hop == "vlc" else system.plc
     vlc = None if hop == "plc" else system.vlc
     if kind == "outage":
-        level = system.snr_threshold
-    else:
-        level = system.duplex_factor if hop == "e2e" else 1.0
-    return kind, plc, vlc, level
+        return (kind, plc, vlc, system.snr_threshold), None
+    return (kind, plc, vlc, None), system.duplex_factor if hop == "e2e" else 1.0
 
 
 def _batch_partials(
@@ -179,7 +177,7 @@ def _batch_partials(
     plc_row = vlc_row = path = None
     below = np.empty(count, dtype=bool)
     partials = []
-    for kind, plc, vlc, level in keys:
+    for kind, plc, vlc, threshold in keys:
         if plc is not None and plc != plc_row:
             sample_plc_snr(plc, normals, out=plc_snr)
             plc_row = plc
@@ -194,21 +192,18 @@ def _batch_partials(
         else:
             snr = vlc_snr if plc is None else plc_snr
         if kind == "avg_capacity":
-            # level * log1p(snr) / ln 2 into values (which may be snr).  min
-            # does not round, and log1p, the division and the product are
-            # monotone: these are the bits of level * min of the hop capacities.
+            # log1p(snr) in nepers into values (which may be snr).  min does
+            # not round and log1p is monotone: these are the bits of the
+            # smaller hop capacity.
             np.log1p(snr, out=values)
-            np.divide(values, _LN2, out=values)
-            np.multiply(values, level, out=values)
             path = None
             high = float(values.max())
             if high == math.inf:
                 # Only the PLC sampler overflows, and a path with a VLC hop is
-                # finite, so this is a PLC-only path (level 1).  Where exp(y)
-                # overflowed (y > 709), log1p(exp(y)) rounds to y exactly.
+                # finite, so this is a PLC-only path.  Where exp(y) overflowed
+                # (y > 709), log1p(exp(y)) rounds to y exactly.
                 overflowed = np.isinf(values, out=below)
                 _plc_log_snr(plc, normals, values, where=overflowed)
-                np.divide(values, _LN2, out=values, where=overflowed)
                 high = float(values.max())
             # K from the largest value, so no sum under- or overflows; it
             # stays at -1021 below that (a subnormal high), so 2**-K is finite.
@@ -229,7 +224,7 @@ def _batch_partials(
         else:
             # No sampler returns NaN, so the path is below the threshold iff a
             # hop is.  Sums of 0/1 indicators are exact: a count has their bits.
-            hits = int(np.count_nonzero(np.less(snr, level, out=below)))
+            hits = int(np.count_nonzero(np.less(snr, threshold, out=below)))
             partials.append((float(hits), float(hits), float(hits == count), float(hits > 0), 0))
     return partials
 
@@ -283,10 +278,11 @@ def estimate_many(
     if not slots:
         return []
     first: dict[object, int] = {}
-    for _, plc, vlc, _ in slots:
+    for (_, plc, vlc, _), _ in slots:
         first.setdefault(vlc, len(first))
         first.setdefault(plc, len(first))
-    keys = sorted(dict.fromkeys(slots), key=lambda k: (first[k[2]], first[k[1]], k[0] != "outage"))
+    keys = sorted(dict.fromkeys(key for key, _ in slots),
+                  key=lambda k: (first[k[2]], first[k[1]], k[0] != "outage"))
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
@@ -309,17 +305,16 @@ def estimate_many(
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             partials = list(pool.map(run, range(n_batches)))
 
-    estimates = {
-        key: _combine([batch[i] for batch in partials], cfg) for i, key in enumerate(keys)
-    }
-    return [estimates[key] for key in slots]
+    sums = {key: _combine([batch[i] for batch in partials], cfg) for i, key in enumerate(keys)}
+    estimates = []
+    for key, level in slots:
+        est = sums[key]
+        if level is not None:  # a capacity: its mean and standard error in nepers, once to bits
+            est = Estimate(bits(est.mean, level), bits(est.std_error, level), est.trials)
+        estimates.append(est)
+    return estimates
 
 
-def estimate(
-    metric: str,
-    system: RelaySystemParams,
-    cfg: McConfig,
-    workers: int = 1,
-) -> Estimate:
+def estimate(metric: str, system: RelaySystemParams, cfg: McConfig, workers: int = 1) -> Estimate:
     """Monte Carlo mean and standard error of one metric: a one-request pass."""
     return estimate_many([(metric, system)], cfg, workers)[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FINITE, NONNEGATIVE, POSITIVE, ParameterError, check_fields, check_value
-from .specfun import PANEL_ORDER, normal_softplus_mean, normal_span, snr_cdf, softplus_mean
+from .specfun import PANEL_ORDER, bits, normal_softplus_mean, normal_span, snr_cdf, softplus_mean
 # `gauss_hermite` is unused here, but perfbench/layers.py traces plc_link.gauss_hermite by name.
 from numpy.polynomial.hermite import hermgauss as gauss_hermite  # noqa: F401
 
@@ -31,7 +31,6 @@ __all__ = [
 
 # A dB amplitude gain x is the power gain 10**(x/5) = exp(x * _LN10_OVER_5).
 _LN10_OVER_5 = math.log(10.0) / 5.0
-_LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 # |m + s*z| <= |m| + _Z_REACH*s wherever the log-SNR is formed: the mean's rule
 # keeps it within |m| + 9s, and NumPy's ziggurat never draws |z| above 13.71.
@@ -77,7 +76,7 @@ class PlcLinkParams:
             )
         centre = math.log(scale) + self.fading_mu_db * _LN10_OVER_5
         spread = self.fading_sigma_db * _LN10_OVER_5
-        if not (abs(centre) + _Z_REACH * spread) / _LN2 < math.inf:
+        if not bits(abs(centre) + _Z_REACH * spread) < math.inf:
             raise ParameterError(
                 f"PlcLinkParams.fading_sigma_db = {self.fading_sigma_db!r} is too large: the "
                 "capacity (|m| + 16*s) / ln 2 overflows at PlcLinkParams.fading_mu_db"
@@ -105,8 +104,8 @@ def avg_capacity(p: PlcLinkParams) -> float:
     """
     law = log_snr_law(p)
     if law[2] is None:
-        return softplus_mean(law) / _LN2
-    return normal_softplus_mean(*p.law) / _LN2
+        return bits(softplus_mean(law))
+    return bits(normal_softplus_mean(*p.law))
 
 
 def log_snr_law(p: PlcLinkParams) -> tuple:

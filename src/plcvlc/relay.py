@@ -23,7 +23,6 @@ __all__ = [
     "e2e_avg_capacity_numeric",
 ]
 
-_LN2 = math.log(2.0)
 _DUPLEX = (5e-324, 1.0, "must lie in (0, 1]")
 _EXPONENT = (0.0, math.nextafter(1024.0, 0.0), "must be below 1024, or the threshold overflows")
 
@@ -83,4 +82,4 @@ def e2e_avg_capacity_numeric(s: RelaySystemParams) -> float:
     of the two hops' log-SNR laws (README, "Mean capacities").
     """
     laws = plc_link.log_snr_law(s.plc), vlc_link.log_snr_law(s.vlc)
-    return s.duplex_factor * specfun.softplus_mean(*laws) / _LN2
+    return specfun.bits(specfun.softplus_mean(*laws), s.duplex_factor)

@@ -2,9 +2,10 @@
 
 The quadrature rule comes from NumPy (``numpy.polynomial.legendre.leggauss``),
 tiled once per panel count and cached read-only in a bounded cache; on it
-``softplus_mean`` and ``normal_softplus_mean`` take every mean capacity, and
-``snr_cdf`` an outage from a law's CDF.  The 2F1(1, b; b+1; z) on -1 <= z <= 0
-of the VLC closed form is a native series.  Errors name the offending argument.
+``softplus_mean`` and ``normal_softplus_mean`` take every mean capacity in nepers,
+``bits`` converts it, and ``snr_cdf`` takes an outage from a law's CDF.  The
+2F1(1, b; b+1; z) on -1 <= z <= 0 of the VLC closed form is a native series.
+Errors name the offending argument.
 
 All routines are pure functions of their arguments and keep no mutable state,
 so they are safe to call from any number of threads.
@@ -20,8 +21,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import FINITE, ParameterError, check_value
 
-__all__ = ["gauss_legendre_panels", "softplus_mean", "normal_span", "normal_softplus_mean",
-           "snr_cdf", "hyp2f1"]
+__all__ = ["LN2", "bits", "gauss_legendre_panels", "softplus_mean", "normal_span",
+           "normal_softplus_mean", "snr_cdf", "hyp2f1"]
+
+LN2 = math.log(2.0)
+
+
+def bits(nepers: float, level: float = 1.0) -> float:
+    """level * nepers / ln 2: every capacity, analytic or sampled, in bits, times ``level``."""
+    return level * nepers / LN2
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FINITE, POSITIVE, ParameterError, check_fields, check_value
-from .specfun import hyp2f1, snr_cdf, softplus_mean
+from .specfun import LN2, bits, hyp2f1, snr_cdf, softplus_mean
 
 __all__ = [
     "VlcLinkParams",
@@ -37,7 +37,6 @@ __all__ = [
 # 1e-3 and 5 degrees, 4.6e-8 at 2e-9) and avg_capacity_quad's rule stands in;
 # above it the closed form was up to 9.1e-12 off mpmath at 3-15 degrees.
 _NARROW_WIDTH = 1e-2
-_LN2 = math.log(2.0)
 
 
 class VlcLaw(NamedTuple):
@@ -181,7 +180,7 @@ def avg_capacity_quad(p: VlcLinkParams) -> float:
     ``specfun.softplus_mean`` of ``log_snr_law`` (README, "Mean capacities"),
     rho = P_r / sigma_d^2.  No duplexing factor is applied.
     """
-    return softplus_mean(log_snr_law(p)) / _LN2
+    return bits(softplus_mean(log_snr_law(p)))
 
 
 def log_snr_law(p: VlcLinkParams) -> tuple:
@@ -247,7 +246,7 @@ def avg_capacity_closed(p: VlcLinkParams) -> float:
     total = antiderivative(t_max) - antiderivative(t_min)
     if t_min * rho <= 1.0 < t_max * rho:
         total += math.pi / math.sin(math.pi * beta) * rho ** beta
-    return c_const / (r_sq * _LN2) * total
+    return c_const / (r_sq * LN2) * total
 
 
 def outage(p: VlcLinkParams, snr_threshold: float) -> float:

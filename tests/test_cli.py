@@ -785,6 +785,16 @@ def test_validate_at_narrow_cells_and_beams(tmp_path, capsys, line):
     assert cli.main(["validate", "--config", str(path), "--trials", "100000", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("duplex", ["0.3", "0.45", "0.6", "0.8", "0.9"])
+def test_validate_on_a_point_mass_path_at_any_duplex_factor(tmp_path, capsys, duplex):
+    # The sampled capacity was rounded to bits per value and the analytic one
+    # once: at these duplex factors they differed in the last bit, std_error 0.
+    path = tmp_path / "point.cfg"
+    path.write_text("fading_sigma_db = 0\ncell_radius_m = 1e-9\n")
+    args = ["--config", str(path), "--trials", "20000", "--duplex-factor", duplex]
+    assert cli.main(["validate", *args]) == 0
+
+
 @pytest.mark.parametrize("radius", ["1e-7", "3e-8"])
 def test_narrow_cell_still_detects_a_tiny_analytic_error(tmp_path, capsys, monkeypatch, radius):
     # The rounding floor of the standard error is a few ulps: an analytic value

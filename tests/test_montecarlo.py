@@ -1,8 +1,10 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from plcvlc.montecarlo import (
     sample_plc_snr,
     sample_vlc_snr,
 )
+from plcvlc.specfun import bits
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +277,21 @@ def test_shared_pass_matches_standalone_estimates(default_system, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_pass_over_relay_power_and_height_matches_standalone(default_system, workers):
     # Points that share a PLC hop or an LED height share draws and rows in one
-    # pass; each estimate must still equal its standalone pass.  Two duplex
-    # factors put two capacity keys on one end-to-end path.
+    # pass; each estimate must still equal its standalone pass.  Three duplex
+    # factors share one end-to-end capacity reduction, each scaled to bits on
+    # its own, on wide cells and on narrow ones whose spread is unresolved.
     requests = []
     for distance in (40.0, 120.0):
         plc = dataclasses.replace(default_system.plc, distance_m=distance)
-        for height in (2.15, 3.0):
-            for power in (0.02, 0.26, 0.5):
-                vlc = dataclasses.replace(default_system.vlc, height_m=height, tx_power_w=power)
-                for duplex in (0.5, 1.0):
-                    system = dataclasses.replace(
-                        default_system, plc=plc, vlc=vlc, duplex_factor=duplex
-                    )
-                    requests += [(metric, system) for metric in METRICS]
+        for height, power, radius in itertools.product(
+            (2.15, 3.0), (0.02, 0.26, 0.5), (2.5, 1e-4, 3e-8)
+        ):
+            vlc = dataclasses.replace(
+                default_system.vlc, height_m=height, tx_power_w=power, cell_radius_m=radius
+            )
+            for duplex in (0.5, 0.7, 1.0):
+                system = dataclasses.replace(default_system, plc=plc, vlc=vlc, duplex_factor=duplex)
+                requests += [(metric, system) for metric in METRICS]
     cfg = McConfig(trials=10_000, seed=17, batch_size=4096)
     shared = estimate_many(requests, cfg, workers=workers)
     for (metric, system), est in zip(requests, shared):
@@ -391,15 +396,18 @@ def test_e2e_estimate_reduces_the_smaller_hop_capacity(default_system):
         rng = montecarlo._batch_rng(cfg.seed, 0)
         plc = sample_plc_snr(system.plc, rng.standard_normal(cfg.trials))
         vlc = sample_vlc_snr(system.vlc, rng.random(cfg.trials))
-        capacity = system.duplex_factor * np.minimum(
-            np.log1p(plc) / math.log(2.0), np.log1p(vlc) / math.log(2.0)
-        )
+        capacity = np.minimum(np.log1p(plc), np.log1p(vlc))  # in nepers
         threshold = relay.rate_to_snr_threshold(system.rate_threshold_bits, system.duplex_factor)
         hits = np.count_nonzero((plc < threshold) | (vlc < threshold))
-        # In plain units (K = 0): the engine's own unit scales back to these bits.
+        # In plain units (K = 0): the engine's own unit scales back to these bits,
+        # and the mean and standard error are then converted to bits once.
         partial = (float(np.sum(capacity)), float(np.sum(capacity * capacity)),
                    float(capacity.min()), float(capacity.max()), 0)
-        assert estimate("e2e_avg_capacity", system, cfg) == montecarlo._combine([partial], cfg)
+        sums = montecarlo._combine([partial], cfg)
+        level = system.duplex_factor
+        assert estimate("e2e_avg_capacity", system, cfg) == Estimate(
+            bits(sums.mean, level), bits(sums.std_error, level), cfg.trials
+        )
         assert estimate("e2e_outage", system, cfg).mean == hits / cfg.trials
         vlc_hits = np.count_nonzero(vlc < threshold)
         assert estimate("vlc_outage", system, cfg).mean == vlc_hits / cfg.trials
@@ -420,6 +428,42 @@ def test_unresolved_spread_reports_its_bound(default_system, radius):
     spread = math.log2(1.0 + rho * t_max) - math.log2(1.0 + rho * t_min)
     assert 0.0 < est.std_error <= spread / (2.0 * math.sqrt(cfg.trials - 1)) * 1.0001
     assert abs(vlc_link.avg_capacity_closed(s.vlc) - est.mean) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("duplex", [0.123, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("radius,power", [(1e-6, 0.26), (1e-7, 0.26), (3e-8, 0.26), (3e-8, 0.5)])
+def test_rounding_floor_bounds_the_error_of_a_narrow_cell_mean(
+    default_system, radius, power, duplex
+):
+    # The spread of these cells is lost in rounding, so the standard error is
+    # the rounding floor, and the reported mean must lie within it of the mean
+    # of level * log1p(snr) / ln 2 over the very SNRs the pass drew, to 40
+    # digits: log1p expanded about the first SNR, the differences exact
+    # (Sterbenz).  The PLC hop is a point mass far above the cell.  At 0.5 W
+    # and duplex 0.3 or 0.7 the level used to multiply each value, which
+    # rounded the distinct capacities of this cell to one: a standard error of 0.
+    plc = dataclasses.replace(default_system.plc, fading_sigma_db=0.0, tx_power_w=1e6)
+    vlc = dataclasses.replace(default_system.vlc, cell_radius_m=radius, tx_power_w=power)
+    system = dataclasses.replace(default_system, plc=plc, vlc=vlc, duplex_factor=duplex)
+    cfg = McConfig(trials=4 * 4096, seed=1, batch_size=4096)
+    snr = []
+    for b in range(4):
+        rng = montecarlo._batch_rng(cfg.seed, b)
+        rng.standard_normal(4096)  # each batch's uniforms follow its normals
+        snr.append(sample_vlc_snr(vlc, rng.random(4096)))
+    snr = np.concatenate(snr)
+    assert sample_plc_snr(plc, 0.0) > snr.max() > snr.min()
+    est = estimate("e2e_avg_capacity", system, cfg)
+    assert est.std_error > 0.0
+    d = snr - snr[0]
+    with mp.workdps(40):
+        one = mp.mpf(float(snr[0])) + 1
+        nepers = cfg.trials * mp.log(one) + sum(
+            (-1) ** (k + 1) * mp.mpf(math.fsum((d ** k).tolist())) / (k * one ** k)
+            for k in (1, 2, 3)
+        )
+        error = abs(mp.mpf(est.mean) - duplex * nepers / cfg.trials / mp.log(2))
+        assert error <= est.std_error
 
 
 def test_point_mass_cell_capacity_is_the_sampled_bits(default_system):

@@ -494,11 +494,14 @@ def test_composition_is_symmetric_bit_for_bit(default_system, perfbench):
         assert specfun.softplus_mean(vlc_law, plc_law).hex() == forward.hex()
 
 
+@pytest.mark.parametrize("duplex", [0.5, 0.123, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 1.0])
 @pytest.mark.parametrize("case", ["plc-point-below-the-cell", "both-points"])
-def test_numeric_mean_capacity_is_the_sampled_bits_on_a_point_mass_path(default_system, case):
+def test_numeric_mean_capacity_is_the_sampled_bits_on_a_point_mass_path(
+    default_system, case, duplex
+):
     # The path min(snr_plc, snr_vlc) takes one value: the sampled mean is that
-    # value's capacity, and at the default duplex factor 1/2 (an exact scaling)
-    # the analytic mean has the same bits.
+    # value's log1p in nepers, and both sides convert it to bits by the one
+    # specfun.bits, so the analytic mean has the same bits at every duplex factor.
     if case == "both-points":
         plc = dataclasses.replace(default_system.plc, fading_sigma_db=0.0)
         vlc = dataclasses.replace(default_system.vlc, cell_radius_m=1e-9)
@@ -506,8 +509,7 @@ def test_numeric_mean_capacity_is_the_sampled_bits_on_a_point_mass_path(default_
         plc = dataclasses.replace(default_system.plc, fading_sigma_db=0.0, fading_mu_db=-20.0)
         vlc = default_system.vlc
         assert montecarlo.sample_plc_snr(plc, 0.0) < montecarlo.sample_vlc_snr(vlc, 1.0)
-    s = dataclasses.replace(default_system, plc=plc, vlc=vlc)
-    assert s.duplex_factor == 0.5
+    s = dataclasses.replace(default_system, plc=plc, vlc=vlc, duplex_factor=duplex)
     sampled = montecarlo.estimate("e2e_avg_capacity", s, montecarlo.McConfig(trials=5000, seed=3))
     assert sampled.std_error == 0.0
     assert e2e_avg_capacity_numeric(s) == sampled.mean

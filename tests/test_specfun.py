@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -40,6 +41,17 @@ def test_no_other_module_builds_a_gauss_legendre_rule():
     naming = sorted(
         path.name for path in Path(specfun.__file__).parent.glob("*.py")
         if any(name in path.read_text() for name in names)
+    )
+    assert naming == ["specfun.py"]
+
+
+def test_no_other_module_computes_ln2():
+    # One module converts nepers to bits (specfun.bits), so a sampled and an
+    # analytic capacity of one value have one rounding at every duplex factor.
+    ln2 = re.compile(r"\blog\(2\b|0\.693|1\.442")
+    naming = sorted(
+        path.name for path in Path(specfun.__file__).parent.glob("*.py")
+        if ln2.search(path.read_text())
     )
     assert naming == ["specfun.py"]
 
