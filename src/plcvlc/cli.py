@@ -9,6 +9,7 @@ with an optional family), ``figure`` (preset sweeps 2-5), and ``validate``
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -78,13 +79,14 @@ def _parse_family(text: str) -> tuple[str, tuple[float, ...]]:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(out).write_text(text, newline="\n")
+        if out is None:
+            print(text, end="", flush=True)
+        else:
+            Path(out).write_text(text, newline="\n")
     except OSError as exc:
-        raise ParameterError(f"--out {out!r} cannot be written: {exc.strerror or exc}") from exc
+        where = "stdout" if out is None else f"--out {out!r}"
+        raise ParameterError(f"{where} cannot be written: {exc.strerror or exc}") from exc
 
 
 # The eval report's lines in order, each a value of evaluate_point or of an estimate.
@@ -158,5 +160,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def console_main() -> None:
+    """Program entry: ``main``, then exit with the heap frozen, which shutdown does not collect."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -24,6 +24,7 @@ or many give bit-identical estimates.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -270,7 +271,7 @@ def estimate_many(
     run grouped by VLC hop, then by PLC hop, each in order of first request,
     with a path's outages before its capacities, so a batch recomputes a
     hop's SNR only where the group changes.  Batches run on up to
-    ``workers`` threads, never more threads than batches.
+    ``workers`` plain threads, at most one per batch, that the caller joins.
     """
     slots = [_reduction_key(metric, system) for metric, system in requests]
     if not is_integer(workers) or workers < 1:
@@ -286,24 +287,31 @@ def estimate_many(
     n_batches = -(-cfg.trials // cfg.batch_size)
     pool_size = min(workers, n_batches)
 
-    # One work array per thread, as wide as a batch reads: at most pool_size batches run at once.
-    workspaces = [np.empty((5, min(cfg.batch_size, cfg.trials))) for _ in range(pool_size)]
+    partials = [None] * n_batches
+    claims, lock, errors = iter(range(n_batches)), threading.Lock(), []
 
-    def run(batch_index: int) -> list[tuple[float, float, float, float, int]]:
-        work = workspaces.pop()
+    def serve() -> None:  # claims batch indices in turn; partials keep batch order
+        work = np.empty((5, min(cfg.batch_size, cfg.trials)))  # as wide as a batch reads
         try:
-            return _batch_partials(keys, cfg, batch_index, work)
-        finally:
-            workspaces.append(work)
+            while True:
+                with lock:
+                    b = next(claims, None)
+                if b is None:
+                    return
+                partials[b] = _batch_partials(keys, cfg, b, work)
+        except BaseException as exc:  # raised in the caller once every thread has ended
+            errors.append(exc)
 
     if pool_size == 1:
-        partials = [run(b) for b in range(n_batches)]
+        serve()  # a plain loop on the calling thread
     else:
-        # Imported here: single-threaded runs do not pay for the module.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            partials = list(pool.map(run, range(n_batches)))
+        threads = [threading.Thread(target=serve) for _ in range(pool_size)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     sums = {key: _combine([batch[i] for batch in partials], cfg) for i, key in enumerate(keys)}
     estimates = []

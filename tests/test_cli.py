@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import plcvlc
 from plcvlc import cli, plc_link, relay, vlc_link
 from plcvlc.config import load_config
 from plcvlc.errors import ParameterError
-from plcvlc.montecarlo import McConfig
+from plcvlc.montecarlo import MIN_TRIALS, McConfig
 from plcvlc.plc_link import PlcLinkParams
 from plcvlc.vlc_link import VlcLinkParams
 from plcvlc.sweeps import (
@@ -521,12 +522,16 @@ def test_validate_at_extreme_capacities(tmp_path, capsys, line):
         assert float(rows[metric][3]) > 1e-4 * float(rows[metric][2])
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # No scipy module at all, after the import and after a full validate run.
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(plcvlc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # No scipy module at all, after the import and after a full validate run.
     script = (
         "import sys, plcvlc.cli\n"
         "from plcvlc.montecarlo import MIN_TRIALS\n"
@@ -537,32 +542,83 @@ def test_cli_import_leaves_scipy_integrate_out():
         "print(code, scipy_modules())\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(),
+        check=True,
     )
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
-def test_cli_leaves_the_thread_pool_module_out_on_one_worker(tmp_path):
-    # concurrent.futures (and the logging it imports) loads only for a pool.
-    src = str(Path(plcvlc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_loads_neither_concurrent_futures_nor_logging(tmp_path, workers):
+    # The Monte Carlo pool runs on plain threads.  200 000 trials are 4 batches,
+    # so two workers do start a pool.
     script = (
         "import sys, plcvlc.cli\n"
-        "from plcvlc.montecarlo import MIN_TRIALS\n"
-        "print('concurrent.futures' in sys.modules)\n"
-        "args = ['--trials', str(MIN_TRIALS), '--workers', '1', '--out', sys.argv[1]]\n"
+        "def loaded():\n"
+        "    return sorted({'concurrent.futures', 'logging'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "args = ['--trials', '200000', '--workers', sys.argv[2], '--out', sys.argv[1]]\n"
         "code = plcvlc.cli.main(['figure', '4', *args])\n"
-        "print(code, 'concurrent.futures' in sys.modules)\n"
+        "print(code, loaded())\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "figure4.csv")],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", script, str(tmp_path / "figure4.csv"), workers],
+        capture_output=True, text=True, env=_package_env(), check=True,
     )
     lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "0 False")
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+def _run_program(args):
+    done = subprocess.run([sys.executable, "-m", "plcvlc.cli", *args],
+                          capture_output=True, text=True, env=_package_env())
+    return done.returncode, done.stdout, done.stderr
+
+
+# Seed 72 is a miss beyond 3 standard errors at MIN_TRIALS (e2e_avg_capacity).
+@pytest.mark.parametrize(
+    "command,code",
+    [(["eval"], 0), (["figure", "4"], 0), (["validate", "--seed", "72", "--workers", "2"], 1),
+     (["eval", "--duplex-factor", "2"], 2)],
+    ids=["eval", "figure-4", "validate-exit-1", "config-error-exit-2"],
+)
+def test_program_entry_reports_what_main_reports(tmp_path, capsys, command, code):
+    args = [*command, "--trials", str(MIN_TRIALS)]
+    program = _run_program(args)
+    assert program == (cli.main(args), *capsys.readouterr())
+    assert program[0] == code
+    files = [tmp_path / "program.out", tmp_path / "main.out"]
+    program = _run_program([*args, "--out", str(files[0])])
+    assert program == (cli.main([*args, "--out", str(files[1])]), *capsys.readouterr())
+    assert files[0].exists() == files[1].exists() == (code != 2)
+    if code != 2:
+        assert files[0].read_bytes() == files[1].read_bytes()
+    # Only the program entry freezes the heap, never main.
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"plcvlc": "plcvlc.cli:console_main"}
+    assert callable(cli.console_main)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["eval"], ["figure", "4"], ["validate"]], ids="-".join)
+def test_unwritable_stdout_is_a_config_error(command):
+    # A failed write or flush of stdout used to end in an OSError traceback.
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "plcvlc.cli", *command, "--trials", str(MIN_TRIALS)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_package_env(),
+        )
+    assert done.returncode == 2
+    # One line: shutdown adds no "Exception ignored" report after it.
+    assert done.stderr.startswith("error: stdout cannot be written: ")
+    assert done.stderr.count("\n") == 1
 
 
 def _task_count_after_cli_import(env_overrides):

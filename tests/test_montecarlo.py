@@ -1,7 +1,8 @@
-import concurrent.futures
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -342,19 +343,66 @@ def test_square_root_returns_a_scaled_value_from_its_square(x):
 
 
 def test_worker_pool_capped_at_batch_count(default_system, monkeypatch):
-    requested = []
+    started = []
 
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-            assert max_workers == 3
-            super().__init__(max_workers=max_workers)
+    class Recorder(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(montecarlo.threading, "Thread", Recorder)
     cfg = McConfig(trials=10_000, seed=2, batch_size=4096)
     threaded = estimate("e2e_outage", default_system, cfg, workers=10 ** 6)
-    assert requested == [3]
+    assert len(started) == 3
     assert threaded == estimate("e2e_outage", default_system, cfg)
+
+
+def _record_batches(monkeypatch, fail_on=None):
+    """Patch ``_batch_partials`` to record (batch index, thread id), raising on ``fail_on``."""
+    calls = []
+    original = montecarlo._batch_partials
+
+    def record(keys, cfg, batch_index, work):
+        calls.append((batch_index, threading.get_ident()))
+        if batch_index == fail_on:
+            raise _BatchFailure(batch_index)
+        return original(keys, cfg, batch_index, work)
+
+    monkeypatch.setattr(montecarlo, "_batch_partials", record)
+    return calls
+
+
+class _BatchFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_pool_runs_each_batch_once_off_the_calling_thread(default_system, monkeypatch, workers):
+    # 79 batches on up to 8 threads that switch every microsecond: a batch
+    # claimed twice or never shows in the record or in the estimates.
+    requests = [(metric, default_system) for metric in METRICS]
+    cfg = McConfig(trials=10_000, seed=2, batch_size=128)
+    serial = estimate_many(requests, cfg)
+    calls = _record_batches(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = estimate_many(requests, cfg, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert sorted(b for b, _ in calls) == list(range(79))
+    assert threading.get_ident() not in {thread for _, thread in calls}
+
+
+def test_failing_batch_raises_in_the_caller_once_every_thread_ends(default_system, monkeypatch):
+    _record_batches(monkeypatch, fail_on=1)
+    before = threading.active_count()
+    with pytest.raises(_BatchFailure) as raised:
+        estimate_many([("e2e_outage", default_system)],
+                      McConfig(trials=10_000, seed=2, batch_size=1024), workers=2)
+    assert raised.value.args == (1,)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
